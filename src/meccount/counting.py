@@ -1,21 +1,18 @@
-"""Counting classes over a skeleton: leaf enumeration plus the separator
-recursion over a tree decomposition.
+"""Counting classes over a skeleton: leaf enumeration plus a bottom-up fold
+over a tree decomposition.
 
-The state passed up the recursion is a sparse table mapping boundary
-shadows to the number of classes of the current subgraph realizing each
-shadow; absent keys mean zero.  Leaves are handled by direct enumeration;
-internal nodes cut off the root's last child subtree, count both sides, and
-combine them over every boundary partial MEC accepted by the extension
-test.  Only shadows with nonzero counts are iterated, which is equivalent
-to sweeping the whole shadow space because zero-count factors contribute
-nothing to any product.
+The state passed up the fold is a sparse table mapping boundary shadows to
+the number of classes of the subgraph folded so far realizing each shadow;
+absent keys mean zero.  A bag's table starts from direct enumeration of its
+own induced graph; each child subtree's table is then combined into it over
+every boundary partial MEC accepted by the extension test.  Only shadows
+with nonzero counts are iterated, which is equivalent to sweeping the whole
+shadow space because zero-count factors contribute nothing to any product.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +32,7 @@ from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs, v_structures
 from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, enumerate_partial_mecs, project_shadow
 from .tfp import _matrices_to_table, tfp_table
-from .treedecomp import TreeDecomposition, cut_last_child, tree_decomposition, validate_td
+from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
 
@@ -96,33 +93,55 @@ def count_rec(
     *,
     orientation_cap: int = DEFAULT_ORIENTATION_CAP,
     mark_cap: int = DEFAULT_MARK_ENUM_CAP,
-    executor: ThreadPoolExecutor | None = None,
 ) -> ShadowTable:
     """Class counts of ``G`` grouped by shadow on ``G[R1 ∪ N(R1)]``."""
     if r1 != td.root:
         raise PreconditionError(f"{r1} is not the root of the decomposition")
     if not validate_td(G, td):
         raise PreconditionError("decomposition is not valid for this graph")
-    return _count_rec(G, td, r1, orientation_cap, mark_cap, executor)
+    return _count_rec(G, td, orientation_cap, mark_cap)
 
 
-def _count_rec(G, td, r1, orientation_cap, mark_cap, executor) -> ShadowTable:
-    if len(td.bags) == 1:
-        return brute_force_count(G, max_edges=orientation_cap)
-    td1, td2, r2 = cut_last_child(td, r1)
-    V1 = td1.vertices()
-    V2 = td2.vertices()
-    G1 = G.induced_subgraph(V1)
-    G2 = G.induced_subgraph(V2)
-    if executor is not None:
-        fut = executor.submit(_count_rec, G2, td2, r2, orientation_cap, mark_cap, None)
-        F1 = _count_rec(G1, td1, r1, orientation_cap, mark_cap, None)
-        F2 = fut.result()
-    else:
-        F1 = _count_rec(G1, td1, r1, orientation_cap, mark_cap, None)
-        F2 = _count_rec(G2, td2, r2, orientation_cap, mark_cap, None)
-    ctx = DecompositionContext(h=G, h1=V1, h2=V2, s1=td.bags[r1], s2=td.bags[r2])
-    return _combine_tables(G, ctx, td.bags[r1], F1, F2, mark_cap)
+def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
+    """Fold a valid decomposition of ``G`` into the root's table, children
+    before parents, without recursion.
+
+    A bag ``r`` starts from the leaf table of ``G[bag]`` and absorbs its
+    children ``c`` in increasing index order: the same splits that cutting
+    the root's last child again and again would make.  A cut only looks at
+    the two bags' closed neighborhood.  Which of those vertices the part
+    folded into ``r`` holds, and which ``c``'s subtree holds, follows from
+    the preorder position of the first bag holding each vertex: by running
+    intersection, a vertex outside a subtree's top bag lies in that subtree
+    exactly when its first bag does.
+    """
+    order = td.preorder
+    pos = {i: k for k, i in enumerate(order)}
+    first: dict = {}
+    for i in order:
+        for v in td.bags[i]:
+            first.setdefault(v, pos[i])
+    nbrs: dict = {v: set() for v in G.vertices}
+    for u, v in G.skeleton_edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    end: dict[int, int] = {}  # one past the last preorder position of a subtree
+    tables: dict[int, ShadowTable] = {}
+    for r in reversed(order):
+        s1 = td.bags[r]
+        F = brute_force_count(G.induced_subgraph(s1), max_edges=orientation_cap)
+        kids = td.children(r)
+        for c in kids:
+            s2 = td.bags[c]
+            near = (s1 | s2).union(*(nbrs[v] for v in s1 | s2))
+            h1 = {v for v in near if v in s1 or pos[r] < first[v] < pos[c]}
+            h2 = {v for v in near if v in s2 or pos[c] <= first[v] < end[c]}
+            H = G.induced_subgraph(h1 | h2)
+            ctx = DecompositionContext(h=H, h1=h1, h2=h2, s1=s1, s2=s2)
+            F = _combine_tables(H, ctx, s1, F, tables.pop(c), mark_cap)
+        end[r] = end[kids[-1]] if kids else pos[r] + 1
+        tables[r] = F
+    return tables[td.root]
 
 
 def _combine_tables(G, ctx, bag1, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTable:
@@ -177,17 +196,16 @@ def count_mecs(
     method: str = "auto",
     *,
     heuristic: str = "min_fill",
-    threads: int = 1,
     orientation_cap: int = DEFAULT_ORIENTATION_CAP,
     mark_cap: int = DEFAULT_MARK_ENUM_CAP,
 ) -> int:
     """Number of classes whose skeleton is ``G``.
 
-    ``brute`` enumerates orientations; ``fpt`` runs the decomposition
-    recursion; ``auto`` takes the brute route for small edge counts.  A
-    disconnected input multiplies the per-component answers, since collider
-    sets combine independently across components.  The empty graph counts
-    one (the empty class).
+    ``brute`` enumerates orientations; ``fpt`` folds a tree decomposition
+    bottom-up in one pass; ``auto`` takes the brute route for small edge
+    counts.  A disconnected input multiplies the per-component answers,
+    since collider sets combine independently across components.  The empty
+    graph counts one (the empty class).
     """
     if not G.is_fully_undirected():
         raise GraphInputError("counting expects an undirected skeleton")
@@ -202,7 +220,6 @@ def count_mecs(
                 G.induced_subgraph(c),
                 method,
                 heuristic=heuristic,
-                threads=threads,
                 orientation_cap=orientation_cap,
                 mark_cap=mark_cap,
             )
@@ -213,26 +230,6 @@ def count_mecs(
         chosen = "brute" if G.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
     if chosen == "brute":
         return brute_count_mecs(G, max_edges=orientation_cap)
-    td = tree_decomposition(G.skeleton(), heuristic)
-    limit = 10 * len(td.bags) + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            F = count_rec(
-                G.skeleton(),
-                td,
-                td.root,
-                orientation_cap=orientation_cap,
-                mark_cap=mark_cap,
-                executor=pool,
-            )
-    else:
-        F = count_rec(
-            G.skeleton(),
-            td,
-            td.root,
-            orientation_cap=orientation_cap,
-            mark_cap=mark_cap,
-        )
-    return F.total()
+    U = G.skeleton()
+    # tree_decomposition validates what it builds
+    return _count_rec(U, tree_decomposition(U, heuristic), orientation_cap, mark_cap).total()

@@ -10,7 +10,7 @@ views (skeleton, undirected part, directed part) derive from that single
 matrix.
 
 Graphs are immutable after construction and hashable, so they can be used
-as dictionary keys and shared freely between threads.
+as dictionary keys and shared freely.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class Pdag:
     def induced_subgraph(self, S: Iterable[Label]) -> "Pdag":
         """Restriction to ``S``: vertices of ``S`` and all edges inside it."""
         sub = _as_vertex_set(self, S)
-        unknown = sub - set(self._labels)
+        unknown = sub - self._index.keys()
         if unknown:
             raise GraphInputError(f"unknown vertices {sorted(map(repr, unknown))}")
         keep = sorted(sub, key=label_key)
@@ -180,7 +180,7 @@ class Pdag:
     def neighbors(self, X) -> frozenset:
         """Vertices adjacent (in the skeleton) to at least one member of X."""
         xs = _as_vertex_set(self, X)
-        unknown = xs - set(self._labels)
+        unknown = xs - self._index.keys()
         if unknown:
             raise GraphInputError(f"unknown vertices {sorted(map(repr, unknown))}")
         if not xs:

@@ -163,3 +163,48 @@ def tfp_search(P, from_edge, to_edge=None, to_vertex=None) -> bool:
         return False
 
     return walk(list(from_edge))
+
+
+def validate_td_reference(U, td) -> bool:
+    """Tree-decomposition laws straight from the definition, plus the
+    separator property of every tree edge: with the edge removed, no
+    skeleton edge joins the vertices of the two sides outside the two bags'
+    intersection."""
+    idxs = set(td.bags)
+    edges = list(td.tree_edges)
+
+    def component(start, allowed, dropped=None):
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for e in edges:
+                if e == dropped or i not in e:
+                    continue
+                j = e[1] if e[0] == i else e[0]
+                if j in allowed and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    if len(edges) != len(idxs) - 1 or component(td.root, idxs) != idxs:
+        return False
+    covered = set().union(*td.bags.values())
+    if covered != set(U.vertices):
+        return False
+    skel = list(U.skeleton_edges())
+    for u, v in skel:
+        if not any(u in b and v in b for b in td.bags.values()):
+            return False
+    for v in covered:
+        holding = {i for i in idxs if v in td.bags[i]}
+        if component(next(iter(holding)), holding) != holding:
+            return False
+    for a, b in edges:
+        side_a = component(a, idxs, dropped=(a, b))
+        inter = td.bags[a] & td.bags[b]
+        va = set().union(*(td.bags[i] for i in side_a)) - inter
+        vb = set().union(*(td.bags[i] for i in idxs - side_a)) - inter
+        if any((u in va and v in vb) or (u in vb and v in va) for u, v in skel):
+            return False
+    return True

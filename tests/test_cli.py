@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from meccount.cli import main
+from meccount.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -151,3 +154,17 @@ class TestTd:
         d = json.loads(out)
         assert d["width"] == 2
         assert len(d["components"]) == 1
+
+
+def test_readme_cli_lines_parse():
+    # parse only: every documented invocation must name existing options
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].split() for ln in block.splitlines() if ln.startswith("meccount ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {' '.join(argv)}")

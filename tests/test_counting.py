@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -171,11 +172,19 @@ class TestCountMecs:
         with pytest.raises(GraphInputError):
             count_mecs(Pdag(directed=[("a", "b")]))
 
-    def test_threads_match_sequential(self):
-        rng = random.Random(62)
-        for _ in range(2):
-            G = random_connected_graph(rng, 6, max_degree=3)
-            assert count_mecs(G, "fpt", threads=2) == count_mecs(G, "fpt")
+    def test_long_path_leaves_recursion_limit_alone(self):
+        n = 600
+        path = UndirectedGraph(edges=[(i, i + 1) for i in range(n - 1)])
+        fib, nxt = 0, 1
+        for _ in range(n):
+            fib, nxt = nxt, fib + nxt
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            assert count_mecs(path) == fib
+            assert sys.getrecursionlimit() == 300
+        finally:
+            sys.setrecursionlimit(before)
 
 
 class TestInvariance:

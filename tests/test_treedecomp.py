@@ -12,6 +12,7 @@ from meccount import (
     validate_td,
 )
 
+import oracles
 from conftest import random_connected_graph
 
 
@@ -91,6 +92,41 @@ class TestValidate:
             root=0,
         )
         assert not validate_td(C4, bad)
+
+
+class TestValidateAgainstReference:
+    def _corrupt(self, rng, G, td):
+        bags = dict(td.bags)
+        edges = set(td.tree_edges)
+        kinds = ("drop", "add", "rewire") if edges else ("drop", "add")
+        kind = rng.choice(kinds)
+        i = rng.choice(sorted(bags))
+        if kind == "drop" and bags[i]:
+            bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+        elif kind == "add":
+            bags[i] = bags[i] | {rng.choice(G.vertices)}
+        elif kind == "rewire":
+            a, b = rng.choice(sorted(edges))
+            edges.discard((a, b))
+            keep = rng.choice((a, b))
+            other = rng.choice([j for j in bags if j != keep])
+            edges.add((min(keep, other), max(keep, other)))
+        return TreeDecomposition(bags=bags, tree_edges=frozenset(edges), root=td.root)
+
+    def test_linear_check_matches_definition_on_corrupted_decompositions(self):
+        rng = random.Random(15)
+        rejected = 0
+        for k in range(320):
+            G = random_connected_graph(rng, rng.randint(3, 8))
+            td = tree_decomposition(G, ("min_fill", "min_degree")[k % 2])
+            assert oracles.validate_td_reference(G, td)
+            bad = td
+            for _ in range(rng.randint(1, 2)):
+                bad = self._corrupt(rng, G, bad)
+            expected = oracles.validate_td_reference(G, bad)
+            assert validate_td(G, bad) == expected, (G.edges, bad)
+            rejected += not expected
+        assert 50 < rejected < 270
 
 
 class TestCut:
