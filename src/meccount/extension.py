@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import GraphInputError, PreconditionError
 from .graph import Pdag, UndirectedGraph
-from .mecrules import is_partial_mec, is_strongly_protected, v_structures
+from .mecrules import is_partial_mec, v_structures
 from .shadow import Shadow
 from .tfp import TfpTable, _close_p1, _close_p2, _matrices_to_table, _seed_matrices
 
@@ -114,29 +115,36 @@ def _boundary_closure(o: Pdag) -> _BoundaryClosure:
 
 
 def _import_side(base: _BoundaryClosure, sh: Shadow, p1: np.ndarray, p2: np.ndarray):
-    # copy the child's entries whose ordered pairs survive in the boundary's
-    # ordered-edge view; pairs oriented away by the boundary simply have no
-    # row or column to land in, mirroring the domain of the closure loops
+    """Copy the child's entries whose ordered pairs survive in the boundary's
+    ordered-edge view; pairs oriented away by the boundary simply have no
+    row or column to land in, mirroring the domain of the closure loops.
+
+    Returns whether ``p1`` and ``p2`` gained an entry."""
     eidx = base.eidx
     vindex = base.vindex
+    new1 = new2 = False
     for e, f in sh.table.p1:
         ie = eidx.get(e)
         jf = eidx.get(f)
-        if ie is not None and jf is not None:
-            p1[ie, jf] = True
+        if ie is not None and jf is not None and not p1[ie, jf]:
+            p1[ie, jf] = new1 = True
     for e, w in sh.table.p2:
         ie = eidx.get(e)
-        if ie is not None:
-            p2[ie, vindex[w]] = True
+        if ie is not None and not p2[ie, vindex[w]]:
+            p2[ie, vindex[w]] = new2 = True
+    return new1, new2
 
 
 def _combine(base: _BoundaryClosure, o: Pdag, sh1: Shadow, sh2: Shadow):
     p1 = base.p1.copy()
     p2 = base.p2.copy()
-    _import_side(base, sh1, p1, p2)
-    _import_side(base, sh2, p1, p2)
-    p1 = _close_p1(p1)
-    p2 = _close_p2(p1, p2, base.edges, base.vindex)
+    a1, a2 = _import_side(base, sh1, p1, p2)
+    b1, b2 = _import_side(base, sh2, p1, p2)
+    # the base is closed already: closing again only matters for new entries
+    if a1 or b1:
+        p1 = _close_p1(p1)
+    if a1 or b1 or a2 or b2:
+        p2 = _close_p2(p1, p2, base.edges, base.vindex)
     return p1, p2
 
 
@@ -174,6 +182,36 @@ def boundary_signature(ctx: DecompositionContext, o: Pdag, protected, side: int)
     return (side, tuple(marks), prot)
 
 
+class _CodeSignatures:
+    """:func:`boundary_signature` read straight off a trit code of
+    ``ctx.a_graph`` over its skeleton edges ``pairs``, without building the
+    marked graph; ``signature(side, code, prot)`` takes the protected
+    directed edges as vertex index pairs."""
+
+    def __init__(self, ctx: DecompositionContext, pairs):
+        a = ctx.a_graph
+        idx = a._index
+        # both edge lists run lower label first, so a side edge ``(u, v)``
+        # is the pair ``(idx[u], idx[v])`` itself and trit 1 means ``u -> v``
+        shift = {p: 2 * j for j, p in enumerate(pairs)}
+        self._shifts = tuple(
+            tuple(shift[(idx[u], idx[v])] for u, v in ctx.side_edges(side)) for side in (1, 2)
+        )
+        self._masks = tuple(
+            sum(1 << idx[v] for v in ctx.side_vertices(side)) for side in (1, 2)
+        )
+        self._labels = a.vertices
+
+    def signature(self, side: int, code: int, prot) -> tuple:
+        marks = tuple("-><"[(code >> shift) & 3] for shift in self._shifts[side - 1])
+        mask = self._masks[side - 1]
+        labels = self._labels
+        inside = frozenset(
+            (labels[x], labels[y]) for x, y in prot if (mask >> x) & 1 and (mask >> y) & 1
+        )
+        return (side, marks, inside)
+
+
 def _sub_pdag_from_signature(ctx: DecompositionContext, sig) -> Pdag:
     side, marks, _ = sig
     expect = ctx.side_graph(side)
@@ -207,13 +245,32 @@ class _ShadowProfile:
         self.p2 = sh.table.p2
 
 
+def _mark_sets(sub: Pdag) -> tuple[frozenset, frozenset]:
+    """``sub``'s directed edges, and its undirected edges in both orders."""
+    adj = sub.adjacency.tolist()
+    labels = sub.vertices
+    directed, undirected = [], []
+    for i, row in enumerate(adj):
+        for j, present in enumerate(row):
+            if present:
+                (undirected if adj[j][i] else directed).append((labels[i], labels[j]))
+    return frozenset(directed), frozenset(undirected)
+
+
 def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
-    for u, v in prof.directed:
-        if not sub.has_directed(u, v):
+    return _struct_ok_marks(_mark_sets(sub), sub_vstructs, prot, prof)
+
+
+def _struct_ok_marks(marks, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
+    """:func:`_struct_ok_profiled` on ``_mark_sets(sub)``, which a caller
+    checking one boundary against many shadows computes once."""
+    directed, undirected = marks
+    for e in prof.directed:
+        if e not in directed:
             return False
     if prof.vstructs != sub_vstructs:
         return False
-    activated = [(x, y) for x, y in prof.und_pairs if sub.has_directed(x, y)]
+    activated = [e for e in prof.und_pairs if e in directed]
     p1, p2 = prof.p1, prof.p2
     for u, v in prof.und_pairs:
         justified = any(
@@ -221,10 +278,10 @@ def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> 
             or (((x, y), v) in p2 and ((v, u), x) in p2)
             for x, y in activated
         )
-        if sub.has_directed(u, v):
+        if (u, v) in directed:
             if not ((u, v) in prot or justified):
                 return False
-        elif sub.has_undirected(u, v):
+        elif (u, v) in undirected:
             if justified:
                 return False
     return True
@@ -243,9 +300,12 @@ def struct_ok(ctx: DecompositionContext, sig, sh: Shadow) -> bool:
 
 
 def protected_edges(o: Pdag) -> frozenset:
-    return frozenset(
-        e for e in o.directed_edges() if is_strongly_protected(o, e)
-    )
+    """Every directed edge of ``o`` that
+    :func:`meccount.mecrules.is_strongly_protected` accepts, decided in one
+    pass on bitmask rows by the enumeration kernels' own protection test."""
+    labels = o.vertices
+    rows = _kernels.mark_rows(o.adjacency)
+    return frozenset((labels[x], labels[y]) for x, y in _kernels.protected_pairs(rows))
 
 
 def is_extension(

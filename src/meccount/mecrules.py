@@ -45,18 +45,16 @@ class VStructure:
 
 def v_structures(P: Pdag) -> frozenset[VStructure]:
     """All canonicalized collider triples of ``P``."""
-    adj = P.adjacency
-    d = adj & ~adj.T
-    sk = adj | adj.T
+    adj = P.adjacency.tolist()
     labels = P.vertices
     out: set[VStructure] = set()
     n = P.n
     for b in range(n):
-        tails = np.nonzero(d[:, b])[0]
+        tails = [a for a in range(n) if adj[a][b] and not adj[b][a]]
         for i in range(len(tails)):
             for j in range(i + 1, len(tails)):
-                a, c = int(tails[i]), int(tails[j])
-                if not sk[a, c]:
+                a, c = tails[i], tails[j]
+                if not (adj[a][c] or adj[c][a]):
                     la, lc = labels[a], labels[c]
                     if label_key(lc) < label_key(la):
                         la, lc = lc, la

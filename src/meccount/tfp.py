@@ -56,28 +56,26 @@ class TfpTable:
 EMPTY_TABLE = TfpTable(frozenset(), frozenset())
 
 
-def _ordered_edge_list(P: Pdag) -> list[Edge]:
-    return list(P.ordered_edges())
-
-
 def _seed_matrices(P: Pdag):
-    """Length-three path seeds: (u, v, w) with u, w non-adjacent."""
-    edges = _ordered_edge_list(P)
-    eidx = {e: i for i, e in enumerate(edges)}
-    m = len(edges)
+    """Length-three path seeds: (u, v, w) with u, w non-adjacent.
+
+    Rows and columns follow :meth:`Pdag.ordered_edges` order."""
+    rows = P.adjacency.tolist()
+    labels = P.vertices
     n = P.n
+    pairs = [(i, j) for i, row in enumerate(rows) for j in range(n) if row[j]]
+    edges = [(labels[i], labels[j]) for i, j in pairs]
+    eidx = {e: k for k, e in enumerate(edges)}
+    pidx = {p: k for k, p in enumerate(pairs)}
+    m = len(edges)
     p1 = np.zeros((m, m), dtype=bool)
     p2 = np.zeros((m, n), dtype=bool)
-    adj = P.adjacency
-    sk = adj | adj.T
-    for i, (u, v) in enumerate(edges):
-        iu, iv = P._index[u], P._index[v]
-        for iw in np.nonzero(adj[iv])[0].tolist():
-            if iw == iu or sk[iu, iw]:
-                continue
-            w = P.vertices[iw]
-            p1[i, eidx[(v, w)]] = True
-            p2[i, iw] = True
+    for k, (iu, iv) in enumerate(pairs):
+        from_u = rows[iu]
+        for iw, present in enumerate(rows[iv]):
+            if present and iw != iu and not from_u[iw] and not rows[iw][iu]:
+                p1[k, pidx[(iv, iw)]] = True
+                p2[k, iw] = True
     return edges, eidx, p1, p2
 
 
@@ -88,7 +86,7 @@ def _close_p1(p1: np.ndarray) -> np.ndarray:
     cur = p1.astype(np.uint8)
     while True:
         nxt = cur | ((cur @ cur) > 0)
-        if np.array_equal(nxt, cur):
+        if not (nxt != cur).any():
             break
         cur = nxt
     out = cur.astype(bool)

@@ -20,6 +20,7 @@ from meccount import (
     project_mec,
     v_structures,
 )
+from meccount.extension import protected_edges
 from meccount.mecrules import dag_member
 
 import oracles
@@ -118,6 +119,21 @@ class TestStrongProtection:
     def test_not_directed_edge(self):
         with pytest.raises(GraphInputError):
             is_strongly_protected(pdag(und=[("a", "b")]), ("a", "b"))
+
+    def test_all_edges_at_once_match_per_edge_test(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            G = random_connected_graph(rng, rng.randint(2, 8))
+            und, dire = [], []
+            for u, v in G.edges:
+                r = rng.random()
+                if r < 0.3:
+                    und.append((u, v))
+                else:
+                    dire.append((u, v) if r < 0.65 else (v, u))
+            P = Pdag(vertices=G.vertices, undirected=und, directed=dire)
+            expected = {e for e in P.directed_edges() if is_strongly_protected(P, e)}
+            assert protected_edges(P) == expected
 
 
 class TestPartialMec:
