@@ -41,25 +41,16 @@ MAX_BITSET_VERTICES = 62
 MAX_TRIT_EDGES = 31
 
 
-def _zeros_array(n):
-    return np.zeros(n, np.int64)
-
-
-def _zeros_list(n):
-    return [0] * n
-
-
-def _build(jit, zeros, one, zero):
-    # ``zeros(n)`` allocates an int64 work vector; the compiled build uses
-    # NumPy arrays and int64 scalars, the python build plain lists and ints,
-    # whose bit operations run several times faster than NumPy scalars'
+def _build(jit):
+    one = np.int64(1)
+    zero = np.int64(0)
 
     @jit
     def _uclose(und, S):
         # closure of the bit-set S over undirected adjacency rows
         while True:
             T = S
-            for i in range(len(und)):
+            for i in range(und.shape[0]):
                 if (S >> i) & one:
                     T |= und[i]
             if T == S:
@@ -72,7 +63,7 @@ def _build(jit, zeros, one, zero):
         S = und[s] | out[s]
         while True:
             T = S
-            for i in range(len(und)):
+            for i in range(und.shape[0]):
                 if (S >> i) & one:
                     T |= und[i] | out[i]
             if T == S:
@@ -83,7 +74,7 @@ def _build(jit, zeros, one, zero):
     @jit
     def _dreach(und, out, s, t):
         # reachable from s by a forward walk using at least one directed edge
-        n = len(und)
+        n = und.shape[0]
         A = _uclose(und, one << s)
         F = zero
         for i in range(n):
@@ -104,21 +95,21 @@ def _build(jit, zeros, one, zero):
     def _chordal_bits(n, und):
         # maximum-cardinality search order, then the elimination check:
         # each vertex's earlier neighbors minus the latest one must all be
-        # adjacent to that latest one.  A chordless cycle needs at least four
-        # vertices with two or more neighbors, so fewer such vertices pass.
+        # adjacent to that latest one.  A chordless cycle needs four vertices
+        # with two undirected neighbours each, so fewer accept at once.
         branching = 0
         for i in range(n):
             if und[i] & (und[i] - one):
                 branching += 1
         if branching < 4:
             return True
-        order = zeros(n)
-        pos = zeros(n)
-        wt = zeros(n)
+        order = np.empty(n, np.int64)
+        pos = np.empty(n, np.int64)
+        wt = np.zeros(n, np.int64)
         visited = zero
         for step in range(n):
             best = -1
-            bw = zero - one
+            bw = np.int64(-1)
             for i in range(n):
                 if not (visited >> i) & one and wt[i] > bw:
                     best = i
@@ -138,7 +129,7 @@ def _build(jit, zeros, one, zero):
             if earlier == zero:
                 continue
             u = -1
-            up = zero - one
+            up = np.int64(-1)
             for i in range(n):
                 if (earlier >> i) & one and pos[i] > up:
                     u = i
@@ -150,12 +141,12 @@ def _build(jit, zeros, one, zero):
 
     @jit
     def _acyclic_masks(n, eu, ev, lo, hi):
-        m = len(eu)
-        buf = zeros(1024)
+        m = eu.shape[0]
+        buf = np.empty(1024, np.int64)
         cnt = 0
-        indeg = zeros(n)
-        heads = zeros(m)
-        queue = zeros(n)
+        indeg = np.empty(n, np.int64)
+        heads = np.empty(m, np.int64)
+        queue = np.empty(n, np.int64)
         for mask in range(lo, hi):
             for i in range(n):
                 indeg[i] = 0
@@ -183,8 +174,8 @@ def _build(jit, zeros, one, zero):
                             queue[qn] = h
                             qn += 1
             if done == n:
-                if cnt == len(buf):
-                    nb = zeros(len(buf) * 2)
+                if cnt == buf.shape[0]:
+                    nb = np.empty(buf.shape[0] * 2, np.int64)
                     nb[:cnt] = buf
                     buf = nb
                 buf[cnt] = mask
@@ -195,8 +186,8 @@ def _build(jit, zeros, one, zero):
     def _collider_words(masks, e1, w1, e2, w2, nwords):
         # fingerprint of each orientation: bitset over the potential-collider
         # triples, word-packed
-        k = len(masks)
-        t = len(e1)
+        k = masks.shape[0]
+        t = e1.shape[0]
         outw = np.zeros((k, nwords), np.int64)
         for r in range(k):
             mask = masks[r]
@@ -204,7 +195,7 @@ def _build(jit, zeros, one, zero):
                 b1 = (mask >> e1[i]) & 1
                 b2 = (mask >> e2[i]) & 1
                 if b1 == w1[i] and b2 == w2[i]:
-                    outw[r, i >> 6] |= np.int64(1) << (i & 63)
+                    outw[r, i >> 6] |= one << (i & 63)
         return outw
 
     @jit
@@ -229,13 +220,13 @@ def _build(jit, zeros, one, zero):
         # with require_protection also every directed edge protected.
         # Partial assignments are pruned as soon as the assigned part alone
         # certifies a violation; chordality is decided at the leaves.
-        m = len(eu)
-        mark = zeros(m)
-        trial = zeros(m + 1)
-        und = zeros(n)
-        out = zeros(n)
-        inb = zeros(n)
-        buf = zeros(1024)
+        m = eu.shape[0]
+        mark = np.zeros(m, np.int8)
+        trial = np.zeros(m + 1, np.int8)
+        und = np.zeros(n, np.int64)
+        out = np.zeros(n, np.int64)
+        inb = np.zeros(n, np.int64)
+        buf = np.empty(1024, np.int64)
         cnt = 0
         d = 0
         while True:
@@ -255,9 +246,9 @@ def _build(jit, zeros, one, zero):
                 if ok:
                     code = zero
                     for j in range(m):
-                        code |= mark[j] << (2 * j)
-                    if cnt == len(buf):
-                        nb = zeros(len(buf) * 2)
+                        code |= np.int64(mark[j]) << (2 * j)
+                    if cnt == buf.shape[0]:
+                        nb = np.empty(buf.shape[0] * 2, np.int64)
                         nb[:cnt] = buf
                         buf = nb
                     buf[cnt] = code
@@ -340,12 +331,8 @@ def _build(jit, zeros, one, zero):
     }
 
 
-_PY = _build(lambda f: f, _zeros_list, 1, 0)
-if HAVE_NUMBA:
-    _jit = _njit(cache=True, nogil=True)
-    _NB = _build(_jit, _jit(_zeros_array), np.int64(1), np.int64(0))
-else:
-    _NB = None
+_PY = _build(lambda f: f)
+_NB = _build(_njit(cache=True, nogil=True)) if HAVE_NUMBA else None
 
 _VALID = ("auto", "numba", "python")
 _backend: str | None = None
@@ -387,13 +374,6 @@ def _impls(work_hint: int):
     return _PY
 
 
-def _call(work_hint: int, name: str, *args):
-    impls = _impls(work_hint)
-    if impls is _PY:
-        args = tuple(a.tolist() if isinstance(a, (np.ndarray, np.generic)) else a for a in args)
-    return impls[name](*args)
-
-
 def check_bitset_capacity(n: int, m: int) -> None:
     if n > MAX_BITSET_VERTICES:
         raise CapacityError(
@@ -412,85 +392,26 @@ def check_bitset_capacity(n: int, m: int) -> None:
 def acyclic_masks(n: int, eu: np.ndarray, ev: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Orientation masks in ``[lo, hi)`` whose digraph is acyclic."""
     work = (hi - lo) * max(1, len(eu))
-    out = _call(work, "acyclic_masks", n, eu, ev, np.int64(lo), np.int64(hi))
-    return np.asarray(out, dtype=np.int64)
+    return _impls(work)["acyclic_masks"](n, eu, ev, np.int64(lo), np.int64(hi))
 
 
 def collider_words(masks, e1, w1, e2, w2, nwords: int) -> np.ndarray:
     """Per-mask fingerprints of the realized potential-collider triples."""
     work = len(masks) * max(1, len(e1))
-    return _call(work, "collider_words", masks, e1, w1, e2, w2, np.int64(nwords))
+    return _impls(work)["collider_words"](masks, e1, w1, e2, w2, np.int64(nwords))
 
 
 def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> np.ndarray:
     """Trit codes of all valid three-way mark assignments (see module doc)."""
-    out = _call(3 ** len(eu), "mark_codes", n, eu, ev, skel, require_protection)
-    return np.asarray(out, dtype=np.int64)
+    return _impls(3 ** len(eu))["mark_codes"](n, eu, ev, skel, require_protection)
+
+
+def protected(n: int, x: int, y: int, skel, und, out, inb) -> bool:
+    """Is ``x -> y`` strongly protected?  ``und``/``out``/``inb`` are the
+    undirected, outgoing and incoming bitmask rows.  One edge is too little
+    work to dispatch into compiled code."""
+    return bool(_PY["protected"](n, x, y, skel, und, out, inb))
 
 
 def chordal_bits(n: int, und: np.ndarray) -> bool:
-    return bool(_call(n * n, "chordal_bits", n, und))
-
-
-# -- bitmask rows of one marked graph, in plain python ints -----------------
-#
-# ``rows = (skel, und, out, inb)``: bit ``j`` of ``skel[i]`` is the skeleton
-# edge ``i~j``, of ``und[i]`` an undirected ``i - j``, of ``out[i]`` a
-# directed ``i -> j`` and of ``inb[j]`` the same edge seen from its head.
-
-
-def mark_rows(adj: np.ndarray) -> tuple:
-    """Rows of the ordered-pair matrix ``adj``."""
-    n = len(adj)
-    skel, und, out, inb = [0] * n, [0] * n, [0] * n, [0] * n
-    a = adj.tolist()
-    for i in range(n):
-        row = a[i]
-        for j in range(n):
-            if row[j]:
-                skel[i] |= 1 << j
-                if a[j][i]:
-                    und[i] |= 1 << j
-                else:
-                    out[i] |= 1 << j
-                    inb[j] |= 1 << i
-    for i in range(n):
-        skel[i] |= inb[i]
-    return skel, und, out, inb
-
-
-def code_rows(n: int, pairs, code: int) -> tuple:
-    """Rows of the trit ``code`` over the skeleton edges ``pairs``."""
-    skel, und, out, inb = [0] * n, [0] * n, [0] * n, [0] * n
-    for j, (u, v) in enumerate(pairs):
-        skel[u] |= 1 << v
-        skel[v] |= 1 << u
-        t = (code >> (2 * j)) & 3
-        if t == 0:
-            und[u] |= 1 << v
-            und[v] |= 1 << u
-        elif t == 1:
-            out[u] |= 1 << v
-            inb[v] |= 1 << u
-        else:
-            out[v] |= 1 << u
-            inb[u] |= 1 << v
-    return skel, und, out, inb
-
-
-def protected_pairs(rows) -> list:
-    """Index pairs ``(x, y)`` of every strongly protected directed ``x -> y``
-    (the four witnesses of :func:`meccount.mecrules.is_strongly_protected`)."""
-    skel, und, out, inb = rows
-    n = len(skel)
-    test = _PY["protected"]
-    found = []
-    for x in range(n):
-        heads = out[x]
-        while heads:
-            low = heads & -heads
-            heads ^= low
-            y = low.bit_length() - 1
-            if test(n, x, y, skel, und, out, inb):
-                found.append((x, y))
-    return found
+    return bool(_impls(n * n)["chordal_bits"](n, und))

@@ -17,21 +17,20 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
 from .errors import GraphInputError, PreconditionError
 from .extension import (
     DecompositionContext,
     _boundary_closure,
-    _CodeSignatures,
     _combine,
-    _mark_sets,
     _ShadowProfile,
-    _struct_ok_marks,
+    _struct_ok_profiled,
     _sub_pdag_from_signature,
+    boundary_signature,
+    protected_edges,
 )
 from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs, v_structures
-from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, _pdag_from_code, partial_mec_codes
+from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, enumerate_partial_mecs, project_shadow
 from .tfp import _matrices_to_table, tfp_table
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
@@ -47,7 +46,6 @@ class ShadowTable:
 
     def __init__(self, domain: Pdag):
         self.domain = domain
-        self._skeleton = domain.adjacency | domain.adjacency.T
         self._entries: dict[Shadow, int] = {}
 
     def add(self, s: Shadow, k: int) -> None:
@@ -55,9 +53,9 @@ class ShadowTable:
             raise ValueError("counts are nonnegative")
         if k == 0:
             return
-        if s.o.vertices != self.domain.vertices or (
-            (s.o.adjacency | s.o.adjacency.T) != self._skeleton
-        ).any():
+        dom = self.domain.adjacency
+        sk = s.o.adjacency | s.o.adjacency.T
+        if s.o.vertices != self.domain.vertices or not np.array_equal(sk, dom | dom.T):
             raise GraphInputError("shadow lives on a different boundary graph")
         self._entries[s] = self._entries.get(s, 0) + k
 
@@ -163,33 +161,21 @@ def _combine_tables(G, ctx, bag1, F1: ShadowTable, F2: ShadowTable, mark_cap) ->
         if ok is None:
             sub = _sub_pdag_from_signature(ctx, sig)
             sub_vs = v_structures(sub)
-            marks = _mark_sets(sub)
-            ok = [_struct_ok_marks(marks, sub_vs, sig[2], p) for p in profiles]
+            ok = [_struct_ok_profiled(sub, sub_vs, sig[2], p) for p in profiles]
             memo[sig] = ok
         return ok
 
-    # boundary candidates stay trit codes until both side checks pass; the
-    # glued shadow is built directly on x_prime, which is what projecting
-    # the full glued table onto x_prime would give
-    A = ctx.a_graph
-    n = A.n
-    pairs, codes = partial_mec_codes(A, max_edges=mark_cap)
-    sigs = _CodeSignatures(ctx, pairs)
-    keep_v = np.array([w in x_prime for w in A.vertices], dtype=bool)
-    for code in codes:
-        prot = _kernels.protected_pairs(_kernels.code_rows(n, pairs, code))
-        ok1 = _side_ok(memo1, sigs.signature(1, code, prot), profiles1)
+    for O in enumerate_partial_mecs(ctx.a_graph, max_edges=mark_cap):
+        prot = protected_edges(O)
+        sig1 = boundary_signature(ctx, O, prot, 1)
+        ok1 = _side_ok(memo1, sig1, profiles1)
         if not any(ok1):
             continue
-        ok2 = _side_ok(memo2, sigs.signature(2, code, prot), profiles2)
+        sig2 = boundary_signature(ctx, O, prot, 2)
+        ok2 = _side_ok(memo2, sig2, profiles2)
         if not any(ok2):
             continue
-        O = _pdag_from_code(A, pairs, code)
         base = _boundary_closure(O)
-        o_x = O.induced_subgraph(x_prime)
-        keep_e = np.array([u in x_prime and v in x_prime for u, v in base.edges], dtype=bool)
-        keep_p1 = keep_e[:, None] & keep_e[None, :]
-        keep_p2 = keep_e[:, None] & keep_v[None, :]
         for (sh1, c1), good1 in zip(sh1s, ok1):
             if not good1:
                 continue
@@ -199,8 +185,9 @@ def _combine_tables(G, ctx, bag1, F1: ShadowTable, F2: ShadowTable, mark_cap) ->
                 p1, p2 = _combine(base, O, sh1, sh2)
                 if bool((p1 & p1.T).any()):
                     continue
-                table = _matrices_to_table(O, base.edges, p1 & keep_p1, p2 & keep_p2)
-                F.add(Shadow._trusted(o_x, table), c1 * c2)
+                table = _matrices_to_table(O, base.edges, p1, p2)
+                glued = Shadow._trusted(O, table)
+                F.add(project_shadow(glued, x_prime), c1 * c2)
     return F
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import GraphInputError, PreconditionError
 from .graph import Pdag, UndirectedGraph
-from .mecrules import is_partial_mec, v_structures
+from .mecrules import _protected_pairs, is_partial_mec, v_structures
 from .shadow import Shadow
 from .tfp import TfpTable, _close_p1, _close_p2, _matrices_to_table, _seed_matrices
 
@@ -115,36 +114,31 @@ def _boundary_closure(o: Pdag) -> _BoundaryClosure:
 
 
 def _import_side(base: _BoundaryClosure, sh: Shadow, p1: np.ndarray, p2: np.ndarray):
-    """Copy the child's entries whose ordered pairs survive in the boundary's
-    ordered-edge view; pairs oriented away by the boundary simply have no
-    row or column to land in, mirroring the domain of the closure loops.
-
-    Returns whether ``p1`` and ``p2`` gained an entry."""
+    # copy the child's entries whose ordered pairs survive in the boundary's
+    # ordered-edge view; pairs oriented away by the boundary simply have no
+    # row or column to land in, mirroring the domain of the closure loops
     eidx = base.eidx
     vindex = base.vindex
-    new1 = new2 = False
     for e, f in sh.table.p1:
         ie = eidx.get(e)
         jf = eidx.get(f)
-        if ie is not None and jf is not None and not p1[ie, jf]:
-            p1[ie, jf] = new1 = True
+        if ie is not None and jf is not None:
+            p1[ie, jf] = True
     for e, w in sh.table.p2:
         ie = eidx.get(e)
-        if ie is not None and not p2[ie, vindex[w]]:
-            p2[ie, vindex[w]] = new2 = True
-    return new1, new2
+        if ie is not None:
+            p2[ie, vindex[w]] = True
 
 
 def _combine(base: _BoundaryClosure, o: Pdag, sh1: Shadow, sh2: Shadow):
     p1 = base.p1.copy()
     p2 = base.p2.copy()
-    a1, a2 = _import_side(base, sh1, p1, p2)
-    b1, b2 = _import_side(base, sh2, p1, p2)
-    # the base is closed already: closing again only matters for new entries
-    if a1 or b1:
-        p1 = _close_p1(p1)
-    if a1 or b1 or a2 or b2:
-        p2 = _close_p2(p1, p2, base.edges, base.vindex)
+    _import_side(base, sh1, p1, p2)
+    _import_side(base, sh2, p1, p2)
+    if np.array_equal(p1, base.p1) and np.array_equal(p2, base.p2):
+        return p1, p2  # the base is closed already
+    p1 = _close_p1(p1)
+    p2 = _close_p2(p1, p2, base.edges, base.vindex)
     return p1, p2
 
 
@@ -169,47 +163,15 @@ def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTabl
 def boundary_signature(ctx: DecompositionContext, o: Pdag, protected, side: int):
     """What a side check may observe of ``o``: its marks on the side's
     boundary edges and which of those are protected in the full ``o``."""
+    adj = o.adjacency
+    idx = o._index
     marks = []
     for u, v in ctx.side_edges(side):
-        if o.has_undirected(u, v):
-            marks.append("-")
-        elif o.has_directed(u, v):
-            marks.append(">")
-        else:
-            marks.append("<")
+        fwd, back = adj[idx[u], idx[v]], adj[idx[v], idx[u]]
+        marks.append("-" if fwd and back else ">" if fwd else "<")
     verts = ctx.side_vertices(side)
     prot = frozenset(e for e in protected if e[0] in verts and e[1] in verts)
     return (side, tuple(marks), prot)
-
-
-class _CodeSignatures:
-    """:func:`boundary_signature` read straight off a trit code of
-    ``ctx.a_graph`` over its skeleton edges ``pairs``, without building the
-    marked graph; ``signature(side, code, prot)`` takes the protected
-    directed edges as vertex index pairs."""
-
-    def __init__(self, ctx: DecompositionContext, pairs):
-        a = ctx.a_graph
-        idx = a._index
-        # both edge lists run lower label first, so a side edge ``(u, v)``
-        # is the pair ``(idx[u], idx[v])`` itself and trit 1 means ``u -> v``
-        shift = {p: 2 * j for j, p in enumerate(pairs)}
-        self._shifts = tuple(
-            tuple(shift[(idx[u], idx[v])] for u, v in ctx.side_edges(side)) for side in (1, 2)
-        )
-        self._masks = tuple(
-            sum(1 << idx[v] for v in ctx.side_vertices(side)) for side in (1, 2)
-        )
-        self._labels = a.vertices
-
-    def signature(self, side: int, code: int, prot) -> tuple:
-        marks = tuple("-><"[(code >> shift) & 3] for shift in self._shifts[side - 1])
-        mask = self._masks[side - 1]
-        labels = self._labels
-        inside = frozenset(
-            (labels[x], labels[y]) for x, y in prot if (mask >> x) & 1 and (mask >> y) & 1
-        )
-        return (side, marks, inside)
 
 
 def _sub_pdag_from_signature(ctx: DecompositionContext, sig) -> Pdag:
@@ -245,32 +207,15 @@ class _ShadowProfile:
         self.p2 = sh.table.p2
 
 
-def _mark_sets(sub: Pdag) -> tuple[frozenset, frozenset]:
-    """``sub``'s directed edges, and its undirected edges in both orders."""
-    adj = sub.adjacency.tolist()
-    labels = sub.vertices
-    directed, undirected = [], []
-    for i, row in enumerate(adj):
-        for j, present in enumerate(row):
-            if present:
-                (undirected if adj[j][i] else directed).append((labels[i], labels[j]))
-    return frozenset(directed), frozenset(undirected)
-
-
 def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
-    return _struct_ok_marks(_mark_sets(sub), sub_vstructs, prot, prof)
-
-
-def _struct_ok_marks(marks, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
-    """:func:`_struct_ok_profiled` on ``_mark_sets(sub)``, which a caller
-    checking one boundary against many shadows computes once."""
-    directed, undirected = marks
-    for e in prof.directed:
-        if e not in directed:
-            return False
     if prof.vstructs != sub_vstructs:
         return False
-    activated = [e for e in prof.und_pairs if e in directed]
+    for u, v in prof.directed:
+        if not sub.has_directed(u, v):
+            return False
+    # the shadow's undirected edges are edges of ``sub`` too: each is
+    # directed one way in it, or undirected
+    activated = {(x, y) for x, y in prof.und_pairs if sub.has_directed(x, y)}
     p1, p2 = prof.p1, prof.p2
     for u, v in prof.und_pairs:
         justified = any(
@@ -278,10 +223,10 @@ def _struct_ok_marks(marks, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
             or (((x, y), v) in p2 and ((v, u), x) in p2)
             for x, y in activated
         )
-        if (u, v) in directed:
+        if (u, v) in activated:
             if not ((u, v) in prot or justified):
                 return False
-        elif (u, v) in undirected:
+        elif (v, u) not in activated:
             if justified:
                 return False
     return True
@@ -300,12 +245,8 @@ def struct_ok(ctx: DecompositionContext, sig, sh: Shadow) -> bool:
 
 
 def protected_edges(o: Pdag) -> frozenset:
-    """Every directed edge of ``o`` that
-    :func:`meccount.mecrules.is_strongly_protected` accepts, decided in one
-    pass on bitmask rows by the enumeration kernels' own protection test."""
     labels = o.vertices
-    rows = _kernels.mark_rows(o.adjacency)
-    return frozenset((labels[x], labels[y]) for x, y in _kernels.protected_pairs(rows))
+    return frozenset((labels[i], labels[j]) for i, j in _protected_pairs(o))
 
 
 def is_extension(

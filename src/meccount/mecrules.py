@@ -45,16 +45,17 @@ class VStructure:
 
 def v_structures(P: Pdag) -> frozenset[VStructure]:
     """All canonicalized collider triples of ``P``."""
-    adj = P.adjacency.tolist()
+    adj = P.adjacency
+    d = adj & ~adj.T
+    sk = adj | adj.T
     labels = P.vertices
     out: set[VStructure] = set()
-    n = P.n
-    for b in range(n):
-        tails = [a for a in range(n) if adj[a][b] and not adj[b][a]]
+    for b in np.nonzero(d.sum(axis=0) > 1)[0].tolist():
+        tails = np.nonzero(d[:, b])[0]
         for i in range(len(tails)):
             for j in range(i + 1, len(tails)):
-                a, c = tails[i], tails[j]
-                if not (adj[a][c] or adj[c][a]):
+                a, c = int(tails[i]), int(tails[j])
+                if not sk[a, c]:
                     la, lc = labels[a], labels[c]
                     if label_key(lc) < label_key(la):
                         la, lc = lc, la
@@ -97,39 +98,37 @@ def is_chain_graph(P: Pdag) -> bool:
     return seen == len(succ)
 
 
-def is_strongly_protected(P: Pdag, e: Edge) -> bool:
-    """Does the directed edge ``e = (u, v)`` sit in a protecting configuration?
+def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of the strongly protected edges ``i -> j``.
 
-    The four witnesses: some ``w -> u`` with ``w`` and ``v`` non-adjacent;
-    some ``w -> v`` with ``w != u`` non-adjacent to ``u``; a directed detour
-    ``u -> w -> v``; or two non-adjacent ``w - u``, ``w' - u`` neighbors with
-    ``w -> v`` and ``w' -> v``.
+    The four witnesses for ``u -> v``: some ``w -> u`` with ``w`` and ``v``
+    non-adjacent; some ``w -> v`` with ``w != u`` non-adjacent to ``u``; a
+    directed detour ``u -> w -> v``; or two non-adjacent ``w - u``, ``w' - u``
+    neighbors with ``w -> v`` and ``w' -> v``.  Tested by the kernel that
+    the class enumeration uses, on bitmask rows.
     """
+    n = P.n
+    und, out, inb = [0] * n, [0] * n, [0] * n
+    ii, jj = np.nonzero(P.adjacency)
+    ordered = set(zip(ii.tolist(), jj.tolist()))
+    directed = []
+    for i, j in ordered:
+        if (j, i) in ordered:
+            und[i] |= 1 << j
+        else:
+            out[i] |= 1 << j
+            inb[j] |= 1 << i
+            directed.append((i, j))
+    skel = [a | b | c for a, b, c in zip(und, out, inb)]
+    return [(i, j) for i, j in directed if _kernels.protected(n, i, j, skel, und, out, inb)]
+
+
+def is_strongly_protected(P: Pdag, e: Edge) -> bool:
+    """Does the directed edge ``e`` sit in a protecting configuration?"""
     u, v = e
     if not P.has_directed(u, v):
         raise GraphInputError(f"({u!r}, {v!r}) is not a directed edge")
-    adj = P.adjacency
-    d = adj & ~adj.T
-    und = adj & adj.T
-    sk = adj | adj.T
-    iu, iv = P._require(u), P._require(v)
-    n = P.n
-    not_v = np.ones(n, dtype=bool)
-    not_v[iv] = False
-    not_u = np.ones(n, dtype=bool)
-    not_u[iu] = False
-    if bool((d[:, iu] & ~sk[iv] & not_v).any()):
-        return True
-    if bool((d[:, iv] & ~sk[iu] & not_u).any()):
-        return True
-    if bool((d[iu] & d[:, iv]).any()):
-        return True
-    cand = np.nonzero(und[iu] & d[:, iv])[0]
-    for i in range(len(cand)):
-        for j in range(i + 1, len(cand)):
-            if not sk[cand[i], cand[j]]:
-                return True
-    return False
+    return (P._index[u], P._index[v]) in _protected_pairs(P)
 
 
 def _no_flag_pattern(P: Pdag) -> bool:
@@ -163,7 +162,7 @@ def is_mec(P: Pdag) -> bool:
     directed edges are all strongly protected."""
     if not is_partial_mec(P):
         return False
-    return all(is_strongly_protected(P, e) for e in P.directed_edges())
+    return len(_protected_pairs(P)) == len(P.directed_edges())
 
 
 # -- encodings shared with the enumeration kernels ----------------------

@@ -99,10 +99,10 @@ def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
     return Pdag._from_matrix(U.vertices, adj)
 
 
-def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP):
-    """``(pairs, codes)``: the trit code of every partial MEC with skeleton
-    ``U`` over its skeleton edges ``pairs`` (vertex index pairs), in
-    :func:`enumerate_partial_mecs` order."""
+def enumerate_partial_mecs(
+    U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
+) -> Iterator[Pdag]:
+    """Every partial MEC with skeleton ``U``, once each, deterministic order."""
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
     if len(pairs) > max_edges:
@@ -110,15 +110,7 @@ def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP):
             f"{len(pairs)} edges exceeds the mark enumeration cap of {max_edges}",
             limit=max_edges,
         )
-    return pairs, _kernels.mark_codes(n, eu, ev, skel, False).tolist()
-
-
-def enumerate_partial_mecs(
-    U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
-) -> Iterator[Pdag]:
-    """Every partial MEC with skeleton ``U``, once each, deterministic order."""
-    pairs, codes = partial_mec_codes(U, max_edges=max_edges)
-    for code in codes:
+    for code in _kernels.mark_codes(n, eu, ev, skel, False).tolist():
         yield _pdag_from_code(U, pairs, code)
 
 

@@ -56,51 +56,37 @@ class TfpTable:
 EMPTY_TABLE = TfpTable(frozenset(), frozenset())
 
 
-def _seed_matrices(P: Pdag):
-    """Length-three path seeds: (u, v, w) with u, w non-adjacent.
+def _ordered_edge_list(P: Pdag) -> list[Edge]:
+    return list(P.ordered_edges())
 
-    Rows and columns follow :meth:`Pdag.ordered_edges` order."""
-    rows = P.adjacency.tolist()
-    labels = P.vertices
-    n = P.n
-    pairs = [(i, j) for i, row in enumerate(rows) for j in range(n) if row[j]]
-    edges = [(labels[i], labels[j]) for i, j in pairs]
-    eidx = {e: k for k, e in enumerate(edges)}
-    pidx = {p: k for k, p in enumerate(pairs)}
-    m = len(edges)
-    p1 = np.zeros((m, m), dtype=bool)
-    p2 = np.zeros((m, n), dtype=bool)
-    for k, (iu, iv) in enumerate(pairs):
-        from_u = rows[iu]
-        for iw, present in enumerate(rows[iv]):
-            if present and iw != iu and not from_u[iw] and not rows[iw][iu]:
-                p1[k, pidx[(iv, iw)]] = True
-                p2[k, iw] = True
+
+def _seed_matrices(P: Pdag):
+    """Length-three path seeds: (u, v, w) with u, w non-adjacent."""
+    edges = _ordered_edge_list(P)
+    eidx = {e: i for i, e in enumerate(edges)}
+    adj = P.adjacency
+    us, vs = np.nonzero(adj)  # the order of ``edges``
+    # p2[i, w]: edge i = (u, v) continues to some w != u not adjacent to u
+    p2 = adj[vs] & ~(adj | adj.T)[us]
+    p2[np.arange(len(us)), us] = False
+    # p1[i, j]: edge j = (v, w) is such a continuation of edge i
+    p1 = p2[:, vs] & (vs[:, None] == us[None, :])
     return edges, eidx, p1, p2
 
 
 def _close_p1(p1: np.ndarray) -> np.ndarray:
     """Transitive closure, diagonal kept clear."""
-    if p1.size == 0:
-        return p1
-    cur = p1.astype(np.uint8)
     while True:
-        nxt = cur | ((cur @ cur) > 0)
-        if not (nxt != cur).any():
-            break
-        cur = nxt
-    out = cur.astype(bool)
-    np.fill_diagonal(out, False)
-    return out
+        nxt = p1 | (p1 @ p1)
+        if np.array_equal(nxt, p1):
+            return nxt & ~np.eye(len(nxt), dtype=bool)
+        p1 = nxt
 
 
 def _close_p2(p1_closed: np.ndarray, p2: np.ndarray, edges, vindex) -> np.ndarray:
     """One composition step suffices once p1 is transitively closed."""
-    if p2.size == 0:
-        return p2
-    out = p2 | ((p1_closed.astype(np.uint8) @ p2.astype(np.uint8)) > 0)
-    for i, (_, v) in enumerate(edges):
-        out[i, vindex[v]] = False
+    out = p2 | (p1_closed @ p2)
+    out[np.arange(len(edges)), [vindex[v] for _, v in edges]] = False
     return out
 
 

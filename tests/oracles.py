@@ -91,6 +91,27 @@ def vstructs(P) -> frozenset:
     return frozenset(out)
 
 
+def strongly_protected_reference(P, e) -> bool:
+    """The four protecting configurations of a directed edge ``u -> v``,
+    each tried by looping over the witnesses."""
+    ordered, skel = edge_views(P)
+    directed = {(a, b) for a, b in ordered if (b, a) not in ordered}
+    u, v = e
+
+    def adj(a, b):
+        return frozenset((a, b)) in skel
+
+    verts = P.vertices
+    if any((w, u) in directed and not adj(w, v) for w in verts if w != v):
+        return True
+    if any((w, v) in directed and not adj(w, u) for w in verts if w != u):
+        return True
+    if any((u, w) in directed and (w, v) in directed for w in verts):
+        return True
+    parents = [w for w in verts if (w, u) in ordered and (u, w) in ordered and (w, v) in directed]
+    return any(not adj(a, b) for a, b in itertools.combinations(parents, 2))
+
+
 def _lk(x):
     return (x.__class__.__name__, x)
 

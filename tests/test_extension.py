@@ -18,14 +18,7 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
-from meccount import _kernels
-from meccount.extension import (
-    DecompositionContext,
-    _CodeSignatures,
-    boundary_signature,
-    protected_edges,
-)
-from meccount.shadow import partial_mec_codes
+from meccount.extension import DecompositionContext
 from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
@@ -208,26 +201,3 @@ class TestGroundTruth:
                             assert is_extension(ctx, O, sh1, sh2) == (
                                 (O, sh1, sh2) in realized
                             )
-
-
-class TestCodeSignatures:
-    def test_match_boundary_signature_of_decoded_graph(self):
-        rng = random.Random(43)
-        graphs = [UndirectedGraph(edges=[("a", "b"), ("b", "c")])]
-        for _ in range(6):
-            graphs.append(random_connected_graph(rng, rng.randint(4, 7)))
-        for G in graphs:
-            for g, ctx in _contexts_of(G):
-                A = ctx.a_graph
-                pairs, codes = partial_mec_codes(A)
-                sigs = _CodeSignatures(ctx, pairs)
-                decoded = list(enumerate_partial_mecs(A))
-                assert len(decoded) == len(codes)
-                for code, O in zip(codes, decoded):
-                    prot = _kernels.protected_pairs(_kernels.code_rows(A.n, pairs, code))
-                    full = protected_edges(O)
-                    assert {(A.vertices[x], A.vertices[y]) for x, y in prot} == full
-                    for side in (1, 2):
-                        assert sigs.signature(side, code, prot) == boundary_signature(
-                            ctx, O, full, side
-                        )

@@ -120,10 +120,11 @@ class TestStrongProtection:
         with pytest.raises(GraphInputError):
             is_strongly_protected(pdag(und=[("a", "b")]), ("a", "b"))
 
-    def test_all_edges_at_once_match_per_edge_test(self):
-        rng = random.Random(12)
-        for _ in range(150):
-            G = random_connected_graph(rng, rng.randint(2, 8))
+    def test_matches_reference_on_random_pdags(self):
+        rng = random.Random(41)
+        checked = protected = 0
+        for _ in range(200):
+            G = random_connected_graph(rng, rng.randint(2, 7))
             und, dire = [], []
             for u, v in G.edges:
                 r = rng.random()
@@ -132,8 +133,13 @@ class TestStrongProtection:
                 else:
                     dire.append((u, v) if r < 0.65 else (v, u))
             P = Pdag(vertices=G.vertices, undirected=und, directed=dire)
-            expected = {e for e in P.directed_edges() if is_strongly_protected(P, e)}
-            assert protected_edges(P) == expected
+            expect = {e for e in P.directed_edges() if oracles.strongly_protected_reference(P, e)}
+            for e in P.directed_edges():
+                assert is_strongly_protected(P, e) == (e in expect), (P, e)
+            assert protected_edges(P) == expect
+            checked += len(P.directed_edges())
+            protected += len(expect)
+        assert 0 < protected < checked
 
 
 class TestPartialMec:
