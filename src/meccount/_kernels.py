@@ -1,9 +1,13 @@
 """Hot enumeration kernels with selectable backends.
 
 The brute-force layers spend essentially all of their time enumerating edge
-orientations (2^m of them) or three-way edge marks (up to 3^m) over small
-dense graphs.  Those loops live here, written against flat NumPy arrays and
-int64 adjacency bitmasks, and are compiled with numba when it is available.
+orientations (up to 2^m of them) or three-way edge marks (up to 3^m) over
+small dense graphs.  Those loops live here, written once in :func:`_build`
+against flat integer rows and adjacency bitmasks.  The ``python`` build runs
+them on Python ints and lists, where a shift or mask costs several times
+less than on NumPy scalars; the ``numba`` build compiles the same source on
+int64 arrays when numba is available.  The public wrappers take and return
+int64 arrays for either build.
 
 Backend selection: the ``MECCOUNT_BACKEND`` environment variable may be set
 to ``numba``, ``python`` or ``auto`` (the default; prefers numba).
@@ -41,16 +45,16 @@ MAX_BITSET_VERTICES = 62
 MAX_TRIT_EDGES = 31
 
 
-def _build(jit):
-    one = np.int64(1)
-    zero = np.int64(0)
+def _build(jit, one, zero, rows):
+    """The kernels, compiled by ``jit``, on integers of the type of ``one``
+    and ``zero`` and on rows of ``k`` zeros made by ``rows(k)``."""
 
     @jit
     def _uclose(und, S):
         # closure of the bit-set S over undirected adjacency rows
         while True:
             T = S
-            for i in range(und.shape[0]):
+            for i in range(len(und)):
                 if (S >> i) & one:
                     T |= und[i]
             if T == S:
@@ -63,7 +67,7 @@ def _build(jit):
         S = und[s] | out[s]
         while True:
             T = S
-            for i in range(und.shape[0]):
+            for i in range(len(und)):
                 if (S >> i) & one:
                     T |= und[i] | out[i]
             if T == S:
@@ -74,7 +78,7 @@ def _build(jit):
     @jit
     def _dreach(und, out, s, t):
         # reachable from s by a forward walk using at least one directed edge
-        n = und.shape[0]
+        n = len(und)
         A = _uclose(und, one << s)
         F = zero
         for i in range(n):
@@ -103,13 +107,13 @@ def _build(jit):
                 branching += 1
         if branching < 4:
             return True
-        order = np.empty(n, np.int64)
-        pos = np.empty(n, np.int64)
-        wt = np.zeros(n, np.int64)
+        order = rows(n)
+        pos = rows(n)
+        wt = rows(n)
         visited = zero
         for step in range(n):
             best = -1
-            bw = np.int64(-1)
+            bw = -1
             for i in range(n):
                 if not (visited >> i) & one and wt[i] > bw:
                     best = i
@@ -129,7 +133,7 @@ def _build(jit):
             if earlier == zero:
                 continue
             u = -1
-            up = np.int64(-1)
+            up = -1
             for i in range(n):
                 if (earlier >> i) & one and pos[i] > up:
                     u = i
@@ -141,61 +145,68 @@ def _build(jit):
 
     @jit
     def _acyclic_masks(n, eu, ev, lo, hi):
-        m = eu.shape[0]
-        buf = np.empty(1024, np.int64)
-        cnt = 0
-        indeg = np.empty(n, np.int64)
-        heads = np.empty(m, np.int64)
-        queue = np.empty(n, np.int64)
-        for mask in range(lo, hi):
-            for i in range(n):
-                indeg[i] = 0
-            for j in range(m):
-                h = ev[j] if (mask >> j) & 1 else eu[j]
-                heads[j] = h
-                indeg[h] += 1
-            qn = 0
-            for i in range(n):
-                if indeg[i] == 0:
-                    queue[qn] = i
-                    qn += 1
-            done = 0
-            qi = 0
-            while qi < qn:
-                v = queue[qi]
-                qi += 1
-                done += 1
-                for j in range(m):
-                    tail = eu[j] if (mask >> j) & 1 else ev[j]
-                    if tail == v:
-                        h = heads[j]
-                        indeg[h] -= 1
-                        if indeg[h] == 0:
-                            queue[qn] = h
-                            qn += 1
-            if done == n:
-                if cnt == buf.shape[0]:
-                    nb = np.empty(buf.shape[0] * 2, np.int64)
-                    nb[:cnt] = buf
-                    buf = nb
-                buf[cnt] = mask
-                cnt += 1
-        return buf[:cnt]
+        # depth-first search that decides edges from the highest bit down,
+        # 0 before 1, so the masks come out ascending.  desc[d * n + v] is
+        # the set of vertices v reaches (v included) under the first d
+        # decisions.  A branch is cut when its new edge t -> h closes a
+        # cycle (h already reaches t) or its prefix leaves [lo, hi).
+        m = len(eu)
+        desc = rows((m + 1) * n)
+        for v in range(n):
+            desc[v] = one << v
+        trial = rows(m + 1)
+        out = []
+        mask = zero
+        d = 0
+        while d >= 0:
+            if d == m:
+                if lo <= mask and mask < hi:
+                    out.append(mask)
+                d -= 1
+                continue
+            b = trial[d]
+            if b == 2:
+                d -= 1
+                continue
+            trial[d] = b + 1
+            j = m - 1 - d
+            mask = ((mask >> (j + 1) << 1) | b) << j
+            if mask >= hi or mask + (one << j) <= lo:
+                continue
+            if b:
+                t, h = eu[j], ev[j]
+            else:
+                t, h = ev[j], eu[j]
+            row = d * n
+            reach = desc[row + h]
+            if (reach >> t) & one:
+                continue
+            for x in range(n):
+                r = desc[row + x]
+                if (r >> t) & one:
+                    r |= reach
+                desc[row + n + x] = r
+            d += 1
+            trial[d] = 0
+        return out
 
     @jit
     def _collider_words(masks, e1, w1, e2, w2, nwords):
         # fingerprint of each orientation: bitset over the potential-collider
-        # triples, word-packed
-        k = masks.shape[0]
-        t = e1.shape[0]
-        outw = np.zeros((k, nwords), np.int64)
+        # triples, word-packed, row r at outw[r * nwords:(r + 1) * nwords]
+        k = len(masks)
+        t = len(e1)
+        sel = rows(t)
+        want = rows(t)
+        for i in range(t):
+            sel[i] = (one << e1[i]) | (one << e2[i])
+            want[i] = (w1[i] << e1[i]) | (w2[i] << e2[i])
+        outw = rows(k * nwords)
         for r in range(k):
             mask = masks[r]
             for i in range(t):
-                b1 = (mask >> e1[i]) & 1
-                b2 = (mask >> e2[i]) & 1
-                if b1 == w1[i] and b2 == w2[i]:
-                    outw[r, i >> 6] |= one << (i & 63)
+                if (mask & sel[i]) == want[i]:
+                    outw[r * nwords + (i >> 6)] |= one << (i & 63)
         return outw
 
     @jit
@@ -220,14 +231,13 @@ def _build(jit):
         # with require_protection also every directed edge protected.
         # Partial assignments are pruned as soon as the assigned part alone
         # certifies a violation; chordality is decided at the leaves.
-        m = eu.shape[0]
-        mark = np.zeros(m, np.int8)
-        trial = np.zeros(m + 1, np.int8)
-        und = np.zeros(n, np.int64)
-        out = np.zeros(n, np.int64)
-        inb = np.zeros(n, np.int64)
-        buf = np.empty(1024, np.int64)
-        cnt = 0
+        m = len(eu)
+        mark = rows(m)
+        trial = rows(m + 1)
+        und = rows(n)
+        out = rows(n)
+        inb = rows(n)
+        codes = []
         d = 0
         while True:
             if d == m:
@@ -246,13 +256,8 @@ def _build(jit):
                 if ok:
                     code = zero
                     for j in range(m):
-                        code |= np.int64(mark[j]) << (2 * j)
-                    if cnt == buf.shape[0]:
-                        nb = np.empty(buf.shape[0] * 2, np.int64)
-                        nb[:cnt] = buf
-                        buf = nb
-                    buf[cnt] = code
-                    cnt += 1
+                        code |= mark[j] << (2 * j)
+                    codes.append(code)
                 d -= 1
                 if d < 0:
                     break
@@ -273,7 +278,7 @@ def _build(jit):
                 continue
             d += 1
             trial[d] = 0
-        return buf[:cnt]
+        return codes
 
     @jit
     def _push(j, t, eu, ev, und, out, inb):
@@ -331,8 +336,17 @@ def _build(jit):
     }
 
 
-_PY = _build(lambda f: f)
-_NB = _build(_njit(cache=True, nogil=True)) if HAVE_NUMBA else None
+_PY = _build(lambda f: f, 1, 0, lambda k: [0] * k)
+_NB = (
+    _build(
+        _njit(cache=True, nogil=True),
+        np.int64(1),
+        np.int64(0),
+        _njit(lambda k: np.zeros(k, np.int64)),
+    )
+    if HAVE_NUMBA
+    else None
+)
 
 _VALID = ("auto", "numba", "python")
 _backend: str | None = None
@@ -368,10 +382,12 @@ def set_backend(name: str) -> None:
     _pinned = name.lower() != "auto"
 
 
-def _impls(work_hint: int):
+def _run(name: str, work_hint: int, *args):
+    """Call kernel ``name`` in the build chosen for ``work_hint`` steps; the
+    python build gets its array arguments as lists of Python ints."""
     if current_backend() == "numba" and (_pinned or work_hint > _AUTO_WORK_THRESHOLD):
-        return _NB
-    return _PY
+        return _NB[name](*args)
+    return _PY[name](*(a.tolist() if isinstance(a, np.ndarray) else a for a in args))
 
 
 def check_bitset_capacity(n: int, m: int) -> None:
@@ -390,28 +406,31 @@ def check_bitset_capacity(n: int, m: int) -> None:
 
 
 def acyclic_masks(n: int, eu: np.ndarray, ev: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Orientation masks in ``[lo, hi)`` whose digraph is acyclic."""
+    """Orientation masks in ``[lo, hi)`` whose digraph is acyclic, ascending."""
     work = (hi - lo) * max(1, len(eu))
-    return _impls(work)["acyclic_masks"](n, eu, ev, np.int64(lo), np.int64(hi))
+    return np.array(_run("acyclic_masks", work, n, eu, ev, int(lo), int(hi)), dtype=np.int64)
 
 
 def collider_words(masks, e1, w1, e2, w2, nwords: int) -> np.ndarray:
     """Per-mask fingerprints of the realized potential-collider triples."""
     work = len(masks) * max(1, len(e1))
-    return _impls(work)["collider_words"](masks, e1, w1, e2, w2, np.int64(nwords))
+    flat = _run("collider_words", work, masks, e1, w1, e2, w2, int(nwords))
+    # bit 63 is the int64 sign bit, which a Python int holds as 2**63
+    return np.array(flat, dtype=np.uint64).view(np.int64).reshape(len(masks), nwords)
 
 
 def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> np.ndarray:
     """Trit codes of all valid three-way mark assignments (see module doc)."""
-    return _impls(3 ** len(eu))["mark_codes"](n, eu, ev, skel, require_protection)
+    codes = _run("mark_codes", 3 ** len(eu), n, eu, ev, skel, require_protection)
+    return np.array(codes, dtype=np.int64)
 
 
 def protected(n: int, x: int, y: int, skel, und, out, inb) -> bool:
     """Is ``x -> y`` strongly protected?  ``und``/``out``/``inb`` are the
-    undirected, outgoing and incoming bitmask rows.  One edge is too little
-    work to dispatch into compiled code."""
+    undirected, outgoing and incoming bitmask rows, as lists of ints.  One
+    edge is too little work to dispatch into compiled code."""
     return bool(_PY["protected"](n, x, y, skel, und, out, inb))
 
 
-def chordal_bits(n: int, und: np.ndarray) -> bool:
-    return bool(_impls(n * n)["chordal_bits"](n, und))
+def chordal_bits(n: int, und) -> bool:
+    return bool(_run("chordal_bits", n * n, n, und))

@@ -81,21 +81,16 @@ def cmd_count(args) -> int:
     if method == "auto":
         method = "brute" if G.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
     heuristic = _heuristic_name(args.td)
-    width = None
-    bags = None
-    if method == "fpt" and G.n > 0:
-        widths = []
-        nbags = 0
-        for comp in G.components():
-            td = tree_decomposition(G.induced_subgraph(comp), heuristic)
-            widths.append(td.width)
-            nbags += len(td.bags)
-        width = max(widths)
-        bags = nbags
     t0 = time.perf_counter()
     count = count_mecs(G, method, heuristic=heuristic)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
+        width = None
+        bags = None
+        if method == "fpt" and G.n > 0:
+            tds = [tree_decomposition(G.induced_subgraph(c), heuristic) for c in G.components()]
+            width = max(td.width for td in tds)
+            bags = sum(len(td.bags) for td in tds)
         payload = {
             "count": count,
             "method": method,

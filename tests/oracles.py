@@ -229,3 +229,27 @@ def validate_td_reference(U, td) -> bool:
         if any((u in va and v in vb) or (u in vb and v in va) for u, v in skel):
             return False
     return True
+
+
+def acyclic_masks_reference(n, eu, ev, lo, hi) -> list:
+    """Masks in ``[lo, hi)`` whose orientation (bit ``j`` set: ``eu[j] ->
+    ev[j]``, clear: ``ev[j] -> eu[j]``) is acyclic, each decided by removing
+    sinks until none is left: a digraph is acyclic exactly when that empties
+    it."""
+    out = []
+    for mask in range(lo, hi):
+        succ = {v: set() for v in range(n)}
+        for j, (u, v) in enumerate(zip(eu, ev)):
+            if (mask >> j) & 1:
+                succ[u].add(v)
+            else:
+                succ[v].add(u)
+        left = set(range(n))
+        while left:
+            sinks = {v for v in left if not (succ[v] & left)}
+            if not sinks:
+                break
+            left -= sinks
+        if not left:
+            out.append(mask)
+    return out

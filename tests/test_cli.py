@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import meccount.cli
+import meccount.counting
 from meccount.cli import build_parser, main
+from meccount.treedecomp import tree_decomposition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,6 +78,22 @@ class TestCount:
         assert d["count"] == 2
         assert d["method"] == "fpt"
         assert isinstance(d["width"], int) and isinstance(d["bags"], int)
+
+    def test_plain_count_decomposes_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tree_decomposition(*args, **kwargs)
+
+        monkeypatch.setattr(meccount.cli, "tree_decomposition", counted)
+        monkeypatch.setattr(meccount.counting, "tree_decomposition", counted)
+        p = tmp_path / "p31.txt"
+        p.write_text("".join(f"{i} {i + 1}\n" for i in range(30)))
+        code, out, _ = run(capsys, "count", str(p))
+        assert code == 0
+        assert out.strip() == "1346269"  # Fibonacci F(31)
+        assert len(calls) == 1
 
     def test_methods_agree(self, capsys, k3):
         _, out_b, _ = run(capsys, "count", k3, "--method", "brute")

@@ -15,6 +15,7 @@ from meccount import Pdag, UndirectedGraph, set_backend, current_backend
 from meccount import _kernels
 from meccount.mecrules import _collider_triples, _encode, is_mec, is_partial_mec
 
+import oracles
 from conftest import connected_graphs, random_connected_graph
 
 
@@ -121,3 +122,31 @@ class TestKernelSemantics:
             for lo in range(0, 1 << m, 7)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
+
+
+class TestAcyclicMasksAgainstReference:
+    def test_random_graphs_whole_ranges_and_chunks(self):
+        rng = random.Random(74)
+        done = 0
+        while done < 100:
+            G = random_connected_graph(rng, rng.randint(2, 8))
+            n, eu, ev, skel, pairs = _encode(G)
+            m = len(pairs)
+            if m > 14:
+                continue
+            done += 1
+            ref = oracles.acyclic_masks_reference(n, eu.tolist(), ev.tolist(), 0, 1 << m)
+            whole = _kernels.acyclic_masks(n, eu, ev, 0, 1 << m)
+            assert whole.dtype == np.int64
+            assert np.all(np.diff(whole) > 0)
+            assert whole.tolist() == ref
+            step = rng.choice((3, 7, 37, 100))
+            parts = [
+                _kernels.acyclic_masks(n, eu, ev, lo, min(lo + step, 1 << m))
+                for lo in range(0, 1 << m, step)
+            ]
+            assert np.concatenate(parts).tolist() == ref
+            lo = rng.randrange(1 << m)
+            hi = rng.randint(lo, 1 << m)
+            got = _kernels.acyclic_masks(n, eu, ev, lo, hi).tolist()
+            assert got == oracles.acyclic_masks_reference(n, eu.tolist(), ev.tolist(), lo, hi)

@@ -225,6 +225,15 @@ class TestBruteCounts:
             done += 1
             assert brute_count_mecs(G) == brute_count_mecs_andersson(G)
 
+    def test_star_k1_12_fills_two_fingerprint_words(self):
+        # 66 potential colliders at the hub: fingerprints take two words
+        # and bit 63 of the first, the int64 sign bit
+        star = UndirectedGraph(edges=[(0, i) for i in range(1, 13)])
+        want = 2**12 - 12  # every set of two or more parents of the hub, or none
+        assert brute_count_mecs(star) == want
+        assert brute_count_mecs_andersson(star) == want
+        assert len(enumerate_mecs(star)) == want
+
     def test_enumerate_mecs_all_pass_filter(self):
         for G in connected_graphs(4):
             mecs = enumerate_mecs(G)

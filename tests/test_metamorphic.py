@@ -1,0 +1,68 @@
+"""Metamorphic checks: input transformations whose effect on the count is
+known, so no oracle has to be trusted for the expected value."""
+
+import random
+
+from meccount import (
+    UndirectedGraph,
+    brute_count_mecs,
+    brute_count_mecs_andersson,
+    count_mecs,
+    count_rec,
+)
+from meccount.treedecomp import TreeDecomposition, tree_decomposition
+
+from conftest import random_connected_graph
+
+ROUTES = {
+    "orientation": brute_count_mecs,
+    "filter": brute_count_mecs_andersson,
+    "fpt": lambda G: count_mecs(G, "fpt"),
+}
+
+
+def _relabel(G, perm):
+    return UndirectedGraph(
+        vertices=[perm[v] for v in G.vertices],
+        edges=[(perm[u], perm[v]) for u, v in G.edges],
+    )
+
+
+def test_counts_invariant_under_relabelling():
+    # a shuffled labelling reorders the skeleton edges the kernels see
+    rng = random.Random(90)
+    for _ in range(8):
+        G = random_connected_graph(rng, rng.randint(4, 6), max_degree=3)
+        shuffled = list(G.vertices)
+        rng.shuffle(shuffled)
+        H = _relabel(G, dict(zip(G.vertices, shuffled)))
+        for name, route in ROUTES.items():
+            assert route(H) == route(G), name
+
+
+def test_disjoint_union_counts_the_product():
+    rng = random.Random(91)
+    for _ in range(6):
+        A = random_connected_graph(rng, rng.randint(3, 5), max_degree=3)
+        B = random_connected_graph(rng, rng.randint(3, 5), max_degree=3)
+        B = _relabel(B, {v: v + A.n for v in B.vertices})
+        union = UndirectedGraph(
+            vertices=list(A.vertices) + list(B.vertices), edges=list(A.edges) + list(B.edges)
+        )
+        for name, route in ROUTES.items():
+            assert route(union) == route(A) * route(B), name
+
+
+def test_count_rec_total_does_not_depend_on_the_root():
+    rng = random.Random(92)
+    for _ in range(3):
+        G = random_connected_graph(rng, rng.randint(8, 10), max_degree=3, extra=2)
+        td = tree_decomposition(G, "min_fill")
+        totals = {
+            root: count_rec(
+                G, TreeDecomposition(bags=dict(td.bags), tree_edges=td.tree_edges, root=root), root
+            ).total()
+            for root in td.indices
+        }
+        assert len(set(totals.values())) == 1, totals
+        assert totals[td.root] == brute_count_mecs(G)
