@@ -18,20 +18,11 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GraphInputError, PreconditionError
-from .extension import (
-    DecompositionContext,
-    _boundary_closure,
-    _combine,
-    _ShadowProfile,
-    _struct_ok_profiled,
-    _sub_pdag_from_signature,
-    boundary_signature,
-    protected_edges,
-)
+from .extension import DecompositionContext, extensions
 from .graph import Pdag, UndirectedGraph
-from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs, v_structures
+from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs
 from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, enumerate_partial_mecs, project_shadow
-from .tfp import _matrices_to_table, tfp_table
+from .tfp import tfp_table
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
@@ -136,58 +127,23 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
             near = (s1 | s2).union(*(nbrs[v] for v in s1 | s2))
             h1 = {v for v in near if v in s1 or pos[r] < first[v] < pos[c]}
             h2 = {v for v in near if v in s2 or pos[c] <= first[v] < end[c]}
-            H = G.induced_subgraph(h1 | h2)
-            ctx = DecompositionContext(h=H, h1=h1, h2=h2, s1=s1, s2=s2)
-            F = _combine_tables(H, ctx, s1, F, tables.pop(c), mark_cap)
+            ctx = DecompositionContext(h=G.induced_subgraph(h1 | h2), h1=h1, h2=h2, s1=s1, s2=s2)
+            F = _combine_tables(ctx, F, tables.pop(c), mark_cap)
         end[r] = end[kids[-1]] if kids else pos[r] + 1
         tables[r] = F
     return tables[td.root]
 
 
-def _combine_tables(G, ctx, bag1, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTable:
-    x_prime = frozenset(G.closed_neighborhood(bag1))
-    F = ShadowTable(domain=G.induced_subgraph(x_prime))
-    sh1s = list(F1.items())
-    sh2s = list(F2.items())
-    if not sh1s or not sh2s:
+def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTable:
+    x_prime = frozenset(ctx.h.closed_neighborhood(ctx.s1))
+    F = ShadowTable(domain=ctx.h.induced_subgraph(x_prime))
+    if not F1 or not F2:
         return F
-    profiles1 = [_ShadowProfile(sh) for sh, _ in sh1s]
-    profiles2 = [_ShadowProfile(sh) for sh, _ in sh2s]
-    memo1: dict = {}
-    memo2: dict = {}
-
-    def _side_ok(memo, sig, profiles):
-        ok = memo.get(sig)
-        if ok is None:
-            sub = _sub_pdag_from_signature(ctx, sig)
-            sub_vs = v_structures(sub)
-            ok = [_struct_ok_profiled(sub, sub_vs, sig[2], p) for p in profiles]
-            memo[sig] = ok
-        return ok
-
-    for O in enumerate_partial_mecs(ctx.a_graph, max_edges=mark_cap):
-        prot = protected_edges(O)
-        sig1 = boundary_signature(ctx, O, prot, 1)
-        ok1 = _side_ok(memo1, sig1, profiles1)
-        if not any(ok1):
-            continue
-        sig2 = boundary_signature(ctx, O, prot, 2)
-        ok2 = _side_ok(memo2, sig2, profiles2)
-        if not any(ok2):
-            continue
-        base = _boundary_closure(O)
-        for (sh1, c1), good1 in zip(sh1s, ok1):
-            if not good1:
-                continue
-            for (sh2, c2), good2 in zip(sh2s, ok2):
-                if not good2:
-                    continue
-                p1, p2 = _combine(base, O, sh1, sh2)
-                if bool((p1 & p1.T).any()):
-                    continue
-                table = _matrices_to_table(O, base.edges, p1, p2)
-                glued = Shadow._trusted(O, table)
-                F.add(project_shadow(glued, x_prime), c1 * c2)
+    sh1s, counts1 = zip(*F1.items())
+    sh2s, counts2 = zip(*F2.items())
+    candidates = enumerate_partial_mecs(ctx.a_graph, max_edges=mark_cap)
+    for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
+        F.add(project_shadow(Shadow._trusted(O, table), x_prime), counts1[i] * counts2[j])
     return F
 
 

@@ -6,6 +6,9 @@ marks are exactly those forced by the children's reachability tables and
 its combined path table stays antisymmetric.  The derived path table (the
 combination) is the closure of the boundary's own triangle-free paths with
 the entries imported from both children.
+
+:func:`extensions` is the one place where that decision is made: the
+counting engine, :func:`is_extension` and the tests all go through it.
 """
 
 from __future__ import annotations
@@ -208,6 +211,15 @@ class _ShadowProfile:
 
 
 def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
+    """Mark conditions between a side shadow and the boundary graph, seen
+    through the side's signature (``sub`` and its protected edges ``prot``).
+
+    (1) the shadow's directed edges keep their direction; (2) collider sets
+    agree on the shadow's vertices; (3) each edge undirected in the shadow
+    is directed in the boundary exactly when protection or one of the two
+    imported reachability justifications forces it, and never against a
+    direction a justification forces.
+    """
     if prof.vstructs != sub_vstructs:
         return False
     for u, v in prof.directed:
@@ -226,27 +238,63 @@ def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> 
         if (u, v) in activated:
             if not ((u, v) in prot or justified):
                 return False
-        elif (v, u) not in activated:
-            if justified:
-                return False
+        elif justified:
+            # forced u -> v, but the boundary leaves the edge undirected or
+            # directs it v -> u
+            return False
     return True
-
-
-def struct_ok(ctx: DecompositionContext, sig, sh: Shadow) -> bool:
-    """Mark conditions between a side shadow and the boundary graph.
-
-    (1) the shadow's directed edges keep their direction; (2) collider sets
-    agree on the shadow's vertices; (3) each edge undirected in the shadow
-    is directed in the boundary exactly when protection or one of the two
-    imported reachability justifications forces it.
-    """
-    sub = _sub_pdag_from_signature(ctx, sig)
-    return _struct_ok_profiled(sub, v_structures(sub), sig[2], _ShadowProfile(sh))
 
 
 def protected_edges(o: Pdag) -> frozenset:
     labels = o.vertices
     return frozenset((labels[i], labels[j]) for i, j in _protected_pairs(o))
+
+
+def _side_checks(ctx: DecompositionContext, memo: dict, sig, profiles) -> list:
+    # a side check sees only the signature, so candidates sharing one share
+    # the verdicts for every shadow of that side
+    ok = memo.get(sig)
+    if ok is None:
+        sub = _sub_pdag_from_signature(ctx, sig)
+        sub_vs = v_structures(sub)
+        ok = [_struct_ok_profiled(sub, sub_vs, sig[2], p) for p in profiles]
+        memo[sig] = ok
+    return ok
+
+
+def extensions(ctx: DecompositionContext, candidates, sh1s, sh2s):
+    """Every extension among ``candidates`` x ``sh1s`` x ``sh2s``.
+
+    Yields ``(O, i, j, table)`` for each candidate boundary graph ``O``
+    that extends ``sh1s[i]`` and ``sh2s[j]``, with ``table`` the derived
+    path table of the three, in candidate order, then ``i``, then ``j``.
+    Candidates must be partial MECs on ``ctx.a_graph`` and the shadows
+    must live on the side boundary graphs; :func:`is_extension` is the
+    checked entry point.
+    """
+    profiles1 = [_ShadowProfile(sh) for sh in sh1s]
+    profiles2 = [_ShadowProfile(sh) for sh in sh2s]
+    memo1: dict = {}
+    memo2: dict = {}
+    for O in candidates:
+        prot = protected_edges(O)
+        ok1 = _side_checks(ctx, memo1, boundary_signature(ctx, O, prot, 1), profiles1)
+        if not any(ok1):
+            continue
+        ok2 = _side_checks(ctx, memo2, boundary_signature(ctx, O, prot, 2), profiles2)
+        if not any(ok2):
+            continue
+        base = _boundary_closure(O)
+        for i, good1 in enumerate(ok1):
+            if not good1:
+                continue
+            for j, good2 in enumerate(ok2):
+                if not good2:
+                    continue
+                p1, p2 = _combine(base, O, sh1s[i], sh2s[j])
+                if bool((p1 & p1.T).any()):
+                    continue
+                yield O, i, j, _matrices_to_table(O, base.edges, p1, p2)
 
 
 def is_extension(
@@ -257,11 +305,4 @@ def is_extension(
     _check_boundary(ctx, o)
     _check_side_shadow(ctx, sh1, 1)
     _check_side_shadow(ctx, sh2, 2)
-    prot = protected_edges(o)
-    if not struct_ok(ctx, boundary_signature(ctx, o, prot, 1), sh1):
-        return False
-    if not struct_ok(ctx, boundary_signature(ctx, o, prot, 2), sh2):
-        return False
-    base = _boundary_closure(o)
-    p1, _ = _combine(base, o, sh1, sh2)
-    return not bool((p1 & p1.T).any())
+    return next(extensions(ctx, [o], [sh1], [sh2]), None) is not None

@@ -217,23 +217,36 @@ def _collider_triples(n, pairs, skel):
     )
 
 
-def _check_orientation_cap(m: int, max_edges: int) -> None:
+def _check_edge_cap(m: int, max_edges: int, sweep: str) -> None:
     if m > max_edges:
         raise CapacityError(
-            f"{m} edges exceeds the orientation enumeration cap of {max_edges}",
+            f"{m} edges exceeds the {sweep} enumeration cap of {max_edges}",
             limit=max_edges,
         )
 
 
-def _orientation_from_mask(U: Pdag, pairs, mask: int) -> Pdag:
+def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
+    """The graph over ``U``'s vertices that trit ``j`` of ``code`` marks on
+    pair ``j = (i, k)``: 0 undirected, 1 ``i -> k``, 2 ``k -> i``."""
     n = U.n
-    adj = np.zeros((n, n), dtype=bool)
+    cells = bytearray(n * n)
     for j, (i, k) in enumerate(pairs):
-        if (mask >> j) & 1:
-            adj[i, k] = True
-        else:
-            adj[k, i] = True
+        trit = (code >> (2 * j)) & 3
+        if trit != 2:
+            cells[i * n + k] = 1
+        if trit != 1:
+            cells[k * n + i] = 1
+    # read-only from the start, so the graph keeps it without a copy
+    adj = np.frombuffer(bytes(cells), dtype=bool).reshape(n, n)
     return Pdag._from_matrix(U.vertices, adj)
+
+
+def _code_of_masks(fwd: int, rev: int) -> int:
+    """The trit code of pair ``j`` present as ``i -> k`` where bit ``j`` of
+    ``fwd`` is set and as ``k -> i`` where bit ``j`` of ``rev`` is; every
+    pair is present one way or both."""
+    # read as base 4, a binary numeral's bit j lands on bit 2j
+    return int(format(fwd & ~rev, "b"), 4) | int(format(rev & ~fwd, "b"), 4) << 1
 
 
 def enumerate_acyclic_orientations(
@@ -243,11 +256,12 @@ def enumerate_acyclic_orientations(
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
     m = len(pairs)
-    _check_orientation_cap(m, max_edges)
+    _check_edge_cap(m, max_edges, "orientation")
+    full = (1 << m) - 1
     for lo in range(0, 1 << m, _CHUNK):
         hi = min(lo + _CHUNK, 1 << m)
         for mask in _kernels.acyclic_masks(n, eu, ev, lo, hi).tolist():
-            yield _orientation_from_mask(U, pairs, mask)
+            yield _pdag_from_code(U, pairs, _code_of_masks(mask, full ^ mask))
 
 
 def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]]:
@@ -258,7 +272,7 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]
     """
     n, eu, ev, skel, pairs = _encode(U)
     m = len(pairs)
-    _check_orientation_cap(m, max_edges)
+    _check_edge_cap(m, max_edges, "orientation")
     e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
     nwords = max(1, (len(e1) + 63) // 64)
     full = (1 << m) - 1
@@ -284,19 +298,6 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]
     return classes
 
 
-def _class_pdag(U: Pdag, pairs, fwd: int, rev: int) -> Pdag:
-    n = U.n
-    adj = np.zeros((n, n), dtype=bool)
-    for j, (i, k) in enumerate(pairs):
-        f = (fwd >> j) & 1
-        r = (rev >> j) & 1
-        if f:
-            adj[i, k] = True
-        if r:
-            adj[k, i] = True
-    return Pdag._from_matrix(U.vertices, adj)
-
-
 def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[Pdag]:
     """All class-representative graphs over skeleton ``U``, deterministically ordered."""
     _require_undirected(U)
@@ -304,7 +305,7 @@ def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list
         return [Pdag(vertices=U.vertices)]
     pairs = [(U._index[u], U._index[v]) for u, v in U.skeleton_edges()]
     classes = _orientation_classes(U, max_edges)
-    mecs = [_class_pdag(U, pairs, fwd, rev) for fwd, rev in classes.values()]
+    mecs = [_pdag_from_code(U, pairs, _code_of_masks(fwd, rev)) for fwd, rev in classes.values()]
     return sorted(mecs, key=lambda M: M.adjacency.tobytes())
 
 
@@ -324,11 +325,7 @@ def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -
     """
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
-    if len(pairs) > max_edges:
-        raise CapacityError(
-            f"{len(pairs)} edges exceeds the mark enumeration cap of {max_edges}",
-            limit=max_edges,
-        )
+    _check_edge_cap(len(pairs), max_edges, "mark")
     return int(len(_kernels.mark_codes(n, eu, ev, skel, True)))
 
 
@@ -346,31 +343,18 @@ def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
         return Pdag(vertices=D.vertices)
     U = D.skeleton()
     n, eu, ev, skel, pairs = _encode(U)
-    m = len(pairs)
-    _check_orientation_cap(m, max_edges)
-    # fingerprint of D itself
+    # D's collider fingerprint names its class among all orientations
     e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
     nwords = max(1, (len(e1) + 63) // 64)
     dmask = 0
     for j, (i, k) in enumerate(pairs):
         if D.adjacency[i, k]:
             dmask |= 1 << j
-    target = _kernels.collider_words(
+    key = _kernels.collider_words(
         np.array([dmask], dtype=np.int64), e1, w1, e2, w2, nwords
-    )[0]
-    full = (1 << m) - 1
-    fwd = rev = 0
-    for lo in range(0, 1 << m, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << m)
-        masks = _kernels.acyclic_masks(n, eu, ev, lo, hi)
-        if len(masks) == 0:
-            continue
-        words = _kernels.collider_words(masks, e1, w1, e2, w2, nwords)
-        sel = masks[(words == target).all(axis=1)]
-        if len(sel):
-            fwd |= int(np.bitwise_or.reduce(sel))
-            rev |= int(np.bitwise_or.reduce(~sel)) & full
-    M = _class_pdag(U, pairs, fwd, rev)
+    )[0].tobytes()
+    fwd, rev = _orientation_classes(U, max_edges)[key]
+    M = _pdag_from_code(U, pairs, _code_of_masks(fwd, rev))
     if not is_mec(M):
         raise InternalInvariantError("orientation-union graph fails the MEC test")
     return M

@@ -11,12 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from . import _kernels
-from .errors import CapacityError, GraphInputError, PreconditionError
-from .graph import Label, Pdag
-from .mecrules import _encode, _require_undirected, is_mec, is_partial_mec
+from .errors import GraphInputError, PreconditionError
+from .graph import Pdag, label_key
+from .mecrules import (
+    _check_edge_cap,
+    _encode,
+    _pdag_from_code,
+    _require_undirected,
+    is_mec,
+    is_partial_mec,
+)
 from .tfp import TfpTable, tfp_table
 
 DEFAULT_MARK_ENUM_CAP = 20  # max boundary edges for three-way mark enumeration
@@ -85,37 +90,15 @@ def project_shadow(s: Shadow, X) -> Shadow:
     return Shadow._trusted(o, table)
 
 
-def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
-    n = U.n
-    adj = np.zeros((n, n), dtype=bool)
-    for j, (i, k) in enumerate(pairs):
-        t = (code >> (2 * j)) & 3
-        if t == 0:
-            adj[i, k] = adj[k, i] = True
-        elif t == 1:
-            adj[i, k] = True
-        else:
-            adj[k, i] = True
-    return Pdag._from_matrix(U.vertices, adj)
-
-
 def enumerate_partial_mecs(
     U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
 ) -> Iterator[Pdag]:
     """Every partial MEC with skeleton ``U``, once each, deterministic order."""
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
-    if len(pairs) > max_edges:
-        raise CapacityError(
-            f"{len(pairs)} edges exceeds the mark enumeration cap of {max_edges}",
-            limit=max_edges,
-        )
+    _check_edge_cap(len(pairs), max_edges, "mark")
     for code in _kernels.mark_codes(n, eu, ev, skel, False).tolist():
         yield _pdag_from_code(U, pairs, code)
-
-
-def _canon(label: Label):
-    return (label.__class__.__name__, label)
 
 
 def shadow_key(s: Shadow) -> bytes:
@@ -124,18 +107,18 @@ def shadow_key(s: Shadow) -> bytes:
     Stable across runs and platforms (plain sorted-tuple repr, no hashing).
     """
     o = s.o
-    verts = tuple(_canon(v) for v in o.vertices)
+    verts = tuple(label_key(v) for v in o.vertices)
     marks = []
     for u, v in o.skeleton_edges():
         if o.has_undirected(u, v):
-            marks.append((_canon(u), _canon(v), "-"))
+            marks.append((label_key(u), label_key(v), "-"))
         elif o.has_directed(u, v):
-            marks.append((_canon(u), _canon(v), ">"))
+            marks.append((label_key(u), label_key(v), ">"))
         else:
-            marks.append((_canon(u), _canon(v), "<"))
+            marks.append((label_key(u), label_key(v), "<"))
     p1 = sorted(
-        ((_canon(a), _canon(b)), (_canon(x), _canon(y)))
+        ((label_key(a), label_key(b)), (label_key(x), label_key(y)))
         for (a, b), (x, y) in s.table.p1
     )
-    p2 = sorted(((_canon(a), _canon(b)), _canon(w)) for (a, b), w in s.table.p2)
+    p2 = sorted(((label_key(a), label_key(b)), label_key(w)) for (a, b), w in s.table.p2)
     return repr((verts, tuple(marks), tuple(p1), tuple(p2))).encode()

@@ -28,17 +28,7 @@ from meccount import (
     v_structures,
     verify_merge,
 )
-from meccount.extension import (
-    DecompositionContext,
-    _boundary_closure,
-    _combine,
-    _ShadowProfile,
-    _struct_ok_profiled,
-    _sub_pdag_from_signature,
-    boundary_signature,
-    protected_edges,
-)
-from meccount.mecrules import v_structures as vstructs_of
+from meccount.extension import DecompositionContext, extensions
 from meccount.treedecomp import cut_last_child, tree_decomposition, validate_td
 
 import oracles
@@ -155,10 +145,10 @@ def glue_report(suite2, suite3):
 
     For every cut of every instance with n <= 7: check the combined path
     table of each class against its true boundary table (criterion 5);
-    check that the accelerated extension filter accepts exactly the
-    realized (boundary, shadow, shadow) triples, with direct is_extension
-    spot checks, the product counting identity, and glue round trips
-    (criterion 6); collect the structural flags (criterion 8).
+    check that ``extensions``, the routine the engine runs, yields exactly
+    the realized (boundary, shadow, shadow) triples, with direct
+    is_extension spot checks, the product counting identity, and glue
+    round trips (criterion 6); collect the structural flags (criterion 8).
     """
     rep = _GlueReport()
     rng = random.Random(7)
@@ -189,6 +179,14 @@ def glue_report(suite2, suite3):
             for M2 in enumerate_mecs(g2):
                 proj2[v_structures(M2)] = M2
                 side2.setdefault(shadow_of_mec(M2, ctx.b2_vertices), []).append(M2)
+            # the engine's decision over the whole triple space
+            candidates = list(enumerate_partial_mecs(ctx.a_graph))
+            sh1s = list(side1)
+            sh2s = list(side2)
+            tables = {
+                (O, sh1s[i], sh2s[j]): table
+                for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s)
+            }
             # ground truth per class of the glued graph
             realized: dict = {}
             for M in enumerate_mecs(g):
@@ -198,28 +196,15 @@ def glue_report(suite2, suite3):
                 sh2 = shadow_of_mec(M2, ctx.b2_vertices)
                 O = M.induced_subgraph(ctx.boundary_vertices)
                 expected = shadow_of_mec(M, ctx.boundary_vertices).table
-                got = _fast_dpf(ctx, O, sh1, sh2)
+                got = tables.get((O, sh1, sh2))
                 assert got == expected, f"combined table mismatch on {g!r}"
                 rep.dpf_checked += 1
                 realized.setdefault((O, sh1, sh2), set()).add(M)
-            # extension filter == realization, over the whole triple space
-            sh1s = list(side1)
-            sh2s = list(side2)
-            profiles1 = [_ShadowProfile(s) for s in sh1s]
-            profiles2 = [_ShadowProfile(s) for s in sh2s]
-            for O in enumerate_partial_mecs(ctx.a_graph):
-                prot = protected_edges(O)
-                ok1 = _side_flags(ctx, O, prot, 1, profiles1)
-                ok2 = _side_flags(ctx, O, prot, 2, profiles2)
-                base = None
-                for i, sh1 in enumerate(sh1s):
-                    for j, sh2 in enumerate(sh2s):
-                        accept = False
-                        if ok1[i] and ok2[j]:
-                            if base is None:
-                                base = _boundary_closure(O)
-                            p1, _ = _combine(base, O, sh1, sh2)
-                            accept = not bool((p1 & p1.T).any())
+            # extensions == realization, over the whole triple space
+            for O in candidates:
+                for sh1 in sh1s:
+                    for sh2 in sh2s:
+                        accept = (O, sh1, sh2) in tables
                         real = (O, sh1, sh2) in realized
                         assert accept == real, f"extension mismatch on {g!r}"
                         rep.extension_checked += 1
@@ -242,21 +227,6 @@ def glue_report(suite2, suite3):
                             assert glued == realized[(O, sh1, sh2)]
     rep.elapsed = time.perf_counter() - t0
     return rep
-
-
-def _side_flags(ctx, O, prot, side, profiles):
-    sig = boundary_signature(ctx, O, prot, side)
-    sub = _sub_pdag_from_signature(ctx, sig)
-    sub_vs = vstructs_of(sub)
-    return [_struct_ok_profiled(sub, sub_vs, sig[2], p) for p in profiles]
-
-
-def _fast_dpf(ctx, O, sh1, sh2):
-    from meccount.tfp import _matrices_to_table
-
-    base = _boundary_closure(O)
-    p1, p2 = _combine(base, O, sh1, sh2)
-    return _matrices_to_table(O, base.edges, p1, p2)
 
 
 def _check_orders(M1, M2, O):

@@ -151,6 +151,24 @@ class TestVerify:
         assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "1"],
+        ["verify", "--max-n", "0"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-3"],
+        ["enumerate", "FIG1", "--max-edges", "-1"],
+    ],
+)
+def test_out_of_range_option_is_input_error(capsys, fig1, argv):
+    argv = [fig1 if a == "FIG1" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 class TestTd:
     def test_tree_width_one(self, capsys, tmp_path):
         p = tmp_path / "tree.txt"

@@ -168,6 +168,17 @@ class TestCountMecs:
         assert count_mecs(small, "auto") == brute_count_mecs(small)
         assert count_mecs(big, "auto") == brute_count_mecs(big)
 
+    def test_seven_cycle_with_three_pendants(self):
+        # side 2 of the cut between bags {0, 2, 8} and {2, 4, 8} is the path
+        # 7-2-4-6-9-1-8-5; a boundary with 0 -> 2 <- 7 and 0 -> 8 <- 5 forces
+        # 2 -> 4 -> 6 and 8 -> 1, which meet at 9, outside the boundary, as a
+        # collider that side 2's collider-free class does not have
+        G = UndirectedGraph(
+            vertices=range(10),
+            edges=[(0, 2), (0, 3), (0, 8), (1, 8), (1, 9), (2, 4), (2, 7), (4, 6), (5, 8), (6, 9)],
+        )
+        assert count_mecs(G, "fpt") == brute_count_mecs(G) == 226
+
     def test_rejects_directed_input(self):
         with pytest.raises(GraphInputError):
             count_mecs(Pdag(directed=[("a", "b")]))

@@ -18,7 +18,7 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
-from meccount.extension import DecompositionContext
+from meccount.extension import DecompositionContext, extensions
 from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
@@ -187,17 +187,24 @@ class TestGroundTruth:
                             shadow_of_mec(M2, ctx.b2_vertices),
                         )
                     )
-                sh1s = {
+                sh1s = list({
                     shadow_of_mec(M1, ctx.b1_vertices)
                     for M1 in enumerate_mecs(g.induced_subgraph(ctx.h1))
-                }
-                sh2s = {
+                })
+                sh2s = list({
                     shadow_of_mec(M2, ctx.b2_vertices)
                     for M2 in enumerate_mecs(g.induced_subgraph(ctx.h2))
-                }
+                })
                 for O in enumerate_partial_mecs(ctx.a_graph):
                     for sh1 in sh1s:
                         for sh2 in sh2s:
                             assert is_extension(ctx, O, sh1, sh2) == (
                                 (O, sh1, sh2) in realized
                             )
+                # the memoized many-shadow path the engine runs
+                yielded = set()
+                candidates = enumerate_partial_mecs(ctx.a_graph)
+                for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
+                    assert table == dpf(ctx, O, sh1s[i], sh2s[j])
+                    yielded.add((O, sh1s[i], sh2s[j]))
+                assert yielded == realized
