@@ -230,7 +230,9 @@ def _build(jit, one, zero, rows):
         # graph with chordal undirected components and no induced x->y-w;
         # with require_protection also every directed edge protected.
         # Partial assignments are pruned as soon as the assigned part alone
-        # certifies a violation; chordality is decided at the leaves.
+        # certifies a violation; chordality is decided at the leaves.  Each
+        # accepted code is followed in ``codes`` by its protected-edge mask
+        # (bit j set: edge j is directed and strongly protected).
         m = len(eu)
         mark = rows(m)
         trial = rows(m + 1)
@@ -242,7 +244,8 @@ def _build(jit, one, zero, rows):
         while True:
             if d == m:
                 ok = _chordal_bits(n, und)
-                if ok and require_protection:
+                prot = zero
+                if ok:
                     for j in range(m):
                         if mark[j] == 1:
                             x, y = eu[j], ev[j]
@@ -250,7 +253,9 @@ def _build(jit, one, zero, rows):
                             x, y = ev[j], eu[j]
                         else:
                             continue
-                        if not _protected(n, x, y, skel, und, out, inb):
+                        if _protected(n, x, y, skel, und, out, inb):
+                            prot |= one << j
+                        elif require_protection:
                             ok = False
                             break
                 if ok:
@@ -258,6 +263,7 @@ def _build(jit, one, zero, rows):
                     for j in range(m):
                         code |= mark[j] << (2 * j)
                     codes.append(code)
+                    codes.append(prot)
                 d -= 1
                 if d < 0:
                     break
@@ -420,9 +426,11 @@ def collider_words(masks, e1, w1, e2, w2, nwords: int) -> np.ndarray:
 
 
 def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> np.ndarray:
-    """Trit codes of all valid three-way mark assignments (see module doc)."""
-    codes = _run("mark_codes", 3 ** len(eu), n, eu, ev, skel, require_protection)
-    return np.array(codes, dtype=np.int64)
+    """All valid three-way mark assignments (see module doc), one row
+    ``(code, protected)`` each: the trit code and the bitmask of its
+    strongly protected directed edges (bit ``j`` for edge ``j``)."""
+    flat = _run("mark_codes", 3 ** len(eu), n, eu, ev, skel, require_protection)
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def protected(n: int, x: int, y: int, skel, und, out, inb) -> bool:

@@ -21,7 +21,7 @@ from .errors import GraphInputError, PreconditionError
 from .extension import DecompositionContext, extensions
 from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs
-from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, enumerate_partial_mecs, project_shadow
+from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, partial_mec_codes, project_shadow
 from .tfp import tfp_table
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
@@ -37,6 +37,7 @@ class ShadowTable:
 
     def __init__(self, domain: Pdag):
         self.domain = domain
+        self._skeleton = domain.adjacency | domain.adjacency.T
         self._entries: dict[Shadow, int] = {}
 
     def add(self, s: Shadow, k: int) -> None:
@@ -44,9 +45,8 @@ class ShadowTable:
             raise ValueError("counts are nonnegative")
         if k == 0:
             return
-        dom = self.domain.adjacency
         sk = s.o.adjacency | s.o.adjacency.T
-        if s.o.vertices != self.domain.vertices or not np.array_equal(sk, dom | dom.T):
+        if s.o.vertices != self.domain.vertices or not np.array_equal(sk, self._skeleton):
             raise GraphInputError("shadow lives on a different boundary graph")
         self._entries[s] = self._entries.get(s, 0) + k
 
@@ -141,7 +141,7 @@ def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTa
         return F
     sh1s, counts1 = zip(*F1.items())
     sh2s, counts2 = zip(*F2.items())
-    candidates = enumerate_partial_mecs(ctx.a_graph, max_edges=mark_cap)
+    candidates = partial_mec_codes(ctx.a_graph, max_edges=mark_cap)
     for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
         F.add(project_shadow(Shadow._trusted(O, table), x_prime), counts1[i] * counts2[j])
     return F

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GraphInputError, PreconditionError
 from .graph import Pdag, UndirectedGraph
-from .mecrules import _protected_pairs, is_partial_mec, v_structures
+from .mecrules import _collider_triples, _pdag_from_code, _protected_pairs, is_partial_mec
 from .shadow import Shadow
 from .tfp import TfpTable, _close_p1, _close_p2, _matrices_to_table, _seed_matrices
 
@@ -62,16 +62,16 @@ class DecompositionContext:
         self.b2_vertices = frozenset(self.half2.closed_neighborhood(self.s2))
         self.b1_graph = self.half1.induced_subgraph(self.b1_vertices)
         self.b2_graph = self.half2.induced_subgraph(self.b2_vertices)
-        self._side_edges = (self.b1_graph.skeleton_edges(), self.b2_graph.skeleton_edges())
+        # the a-graph's skeleton edges as index pairs, in the order the
+        # candidates' trit codes use
+        idx = self.a_graph._index
+        self.a_pairs = [(idx[u], idx[v]) for u, v in self.a_graph.skeleton_edges()]
 
     def side_graph(self, side: int) -> Pdag:
         return self.b1_graph if side == 1 else self.b2_graph
 
     def side_vertices(self, side: int) -> frozenset:
         return self.b1_vertices if side == 1 else self.b2_vertices
-
-    def side_edges(self, side: int) -> tuple:
-        return self._side_edges[side - 1]
 
 
 def is_valid_dpf(t: TfpTable) -> bool:
@@ -161,36 +161,11 @@ def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTabl
 
 
 # -- structural mark conditions -----------------------------------------
-
-
-def boundary_signature(ctx: DecompositionContext, o: Pdag, protected, side: int):
-    """What a side check may observe of ``o``: its marks on the side's
-    boundary edges and which of those are protected in the full ``o``."""
-    adj = o.adjacency
-    idx = o._index
-    marks = []
-    for u, v in ctx.side_edges(side):
-        fwd, back = adj[idx[u], idx[v]], adj[idx[v], idx[u]]
-        marks.append("-" if fwd and back else ">" if fwd else "<")
-    verts = ctx.side_vertices(side)
-    prot = frozenset(e for e in protected if e[0] in verts and e[1] in verts)
-    return (side, tuple(marks), prot)
-
-
-def _sub_pdag_from_signature(ctx: DecompositionContext, sig) -> Pdag:
-    side, marks, _ = sig
-    expect = ctx.side_graph(side)
-    idx = expect._index
-    adj = np.zeros((expect.n, expect.n), dtype=bool)
-    for (u, v), mk in zip(ctx.side_edges(side), marks):
-        i, j = idx[u], idx[v]
-        if mk == "-":
-            adj[i, j] = adj[j, i] = True
-        elif mk == ">":
-            adj[i, j] = True
-        else:
-            adj[j, i] = True
-    return Pdag._from_matrix(expect.vertices, adj)
+#
+# A boundary candidate is the kernel's row ``(code, protected)`` over the
+# a-graph's skeleton edges ``ctx.a_pairs`` (see ``shadow.partial_mec_codes``).
+# A side check sees only the side's part of it, one integer: the trits at
+# the side's edge positions and the protected bits there.
 
 
 class _ShadowProfile:
@@ -198,9 +173,9 @@ class _ShadowProfile:
 
     __slots__ = ("directed", "vstructs", "und_pairs", "p1", "p2")
 
-    def __init__(self, sh: Shadow):
+    def __init__(self, sh: Shadow, vstructs: int):
         self.directed = sh.o.directed_edges()
-        self.vstructs = v_structures(sh.o)
+        self.vstructs = vstructs
         pairs = []
         for u, v in sh.o.undirected_edges():
             pairs.append((u, v))
@@ -210,9 +185,86 @@ class _ShadowProfile:
         self.p2 = sh.table.p2
 
 
+class _Side:
+    """One side of a cut as its checks see the candidates: where its edges
+    sit in the a-graph's codes, its potential colliders, its shadows'
+    profiles bucketed by collider set, and the verdicts per signature."""
+
+    __slots__ = ("graph", "pos", "edges", "pairs", "tmask", "pmask", "shift", "sel", "want",
+                 "buckets", "memo")
+
+    def __init__(self, ctx: DecompositionContext, side: int, shadows):
+        g = ctx.side_graph(side)
+        labels = ctx.a_graph.vertices
+        where = {}
+        for j, (i, k) in enumerate(ctx.a_pairs):
+            where[labels[i], labels[k]] = where[labels[k], labels[i]] = j
+        self.graph = g
+        # the side's edges by a-graph position, each oriented as its a-graph pair
+        self.pos = sorted(where[e] for e in g.skeleton_edges())
+        self.edges = [(labels[ctx.a_pairs[j][0]], labels[ctx.a_pairs[j][1]]) for j in self.pos]
+        self.pairs = [(g._index[u], g._index[v]) for u, v in self.edges]
+        self.tmask = sum(3 << 2 * j for j in self.pos)
+        self.pmask = sum(1 << j for j in self.pos)
+        self.shift = 2 * len(ctx.a_pairs)
+        skel = [0] * g.n
+        for i, k in self.pairs:
+            skel[i] |= 1 << k
+            skel[k] |= 1 << i
+        # triple t is a collider when both its edges point into its middle
+        # vertex: trit 1 on an edge whose pair lists the tail first, else 2
+        self.sel, self.want = [], []
+        for a, wa, c, wc in zip(*(x.tolist() for x in _collider_triples(g.n, self.pairs, skel))):
+            ja, jc = 2 * self.pos[a], 2 * self.pos[c]
+            self.sel.append(3 << ja | 3 << jc)
+            self.want.append((2 - wa) << ja | (2 - wc) << jc)
+        self.buckets: dict = {}
+        for i, sh in enumerate(shadows):
+            prof = _ShadowProfile(sh, self.colliders(self.code_of(sh.o)))
+            self.buckets.setdefault(prof.vstructs, []).append((i, prof))
+        self.memo: dict = {}
+
+    def colliders(self, code: int) -> int:
+        """Bitmask of the potential collider triples that ``code`` realizes."""
+        return sum(1 << t for t, (s, w) in enumerate(zip(self.sel, self.want)) if (code & s) == w)
+
+    def code_of(self, o: Pdag) -> int:
+        """The trits of a graph over the side's skeleton, at a-graph positions."""
+        adj, idx = o.adjacency, o._index
+        code = 0
+        for j, (u, v) in zip(self.pos, self.edges):
+            fwd, back = adj[idx[u], idx[v]], adj[idx[v], idx[u]]
+            if fwd != back:
+                code |= (1 if fwd else 2) << 2 * j
+        return code
+
+    def protected(self, sig: int) -> frozenset:
+        """The protected directed edges a signature records, as label pairs."""
+        return frozenset(
+            (u, v) if (sig >> 2 * j) & 3 == 1 else (v, u)
+            for j, (u, v) in zip(self.pos, self.edges)
+            if (sig >> self.shift + j) & 1
+        )
+
+
+def boundary_signature(side: _Side, code: int, prot: int) -> int:
+    """What a side check may observe of a candidate: its marks on the side's
+    edges and which of those are protected in the whole boundary graph."""
+    return code & side.tmask | (prot & side.pmask) << side.shift
+
+
+def _sub_pdag_from_signature(side: _Side, sig: int) -> Pdag:
+    # the side's trits, moved from a-graph positions to the side's own
+    compact = 0
+    for k, j in enumerate(side.pos):
+        compact |= ((sig >> 2 * j) & 3) << 2 * k
+    return _pdag_from_code(side.graph, side.pairs, compact)
+
+
 def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
     """Mark conditions between a side shadow and the boundary graph, seen
-    through the side's signature (``sub`` and its protected edges ``prot``).
+    through the side's signature (``sub``, its collider set ``sub_vstructs``
+    and its protected edges ``prot``).
 
     (1) the shadow's directed edges keep their direction; (2) collider sets
     agree on the shadow's vertices; (3) each edge undirected in the shadow
@@ -250,51 +302,73 @@ def protected_edges(o: Pdag) -> frozenset:
     return frozenset((labels[i], labels[j]) for i, j in _protected_pairs(o))
 
 
-def _side_checks(ctx: DecompositionContext, memo: dict, sig, profiles) -> list:
-    # a side check sees only the signature, so candidates sharing one share
-    # the verdicts for every shadow of that side
-    ok = memo.get(sig)
+def _side_checks(side: _Side, sig: int) -> list:
+    """Indices of the side's shadows that pass for ``sig``, ascending.
+
+    A side check sees only the signature, so candidates sharing one share
+    the verdicts; only shadows with the signature's collider set can pass.
+    """
+    ok = side.memo.get(sig)
     if ok is None:
-        sub = _sub_pdag_from_signature(ctx, sig)
-        sub_vs = v_structures(sub)
-        ok = [_struct_ok_profiled(sub, sub_vs, sig[2], p) for p in profiles]
-        memo[sig] = ok
+        vs = side.colliders(sig)
+        bucket = side.buckets.get(vs)
+        ok = []
+        if bucket:
+            sub = _sub_pdag_from_signature(side, sig)
+            prot = side.protected(sig)
+            ok = [i for i, prof in bucket if _struct_ok_profiled(sub, vs, prot, prof)]
+        side.memo[sig] = ok
     return ok
 
 
 def extensions(ctx: DecompositionContext, candidates, sh1s, sh2s):
     """Every extension among ``candidates`` x ``sh1s`` x ``sh2s``.
 
+    ``candidates`` are rows ``(code, protected)`` of partial MECs on
+    ``ctx.a_graph``, as :func:`shadow.partial_mec_codes` gives them.
     Yields ``(O, i, j, table)`` for each candidate boundary graph ``O``
     that extends ``sh1s[i]`` and ``sh2s[j]``, with ``table`` the derived
     path table of the three, in candidate order, then ``i``, then ``j``.
-    Candidates must be partial MECs on ``ctx.a_graph`` and the shadows
-    must live on the side boundary graphs; :func:`is_extension` is the
-    checked entry point.
+    The shadows must live on the side boundary graphs; :func:`is_extension`
+    is the checked entry point.
     """
-    profiles1 = [_ShadowProfile(sh) for sh in sh1s]
-    profiles2 = [_ShadowProfile(sh) for sh in sh2s]
-    memo1: dict = {}
-    memo2: dict = {}
-    for O in candidates:
-        prot = protected_edges(O)
-        ok1 = _side_checks(ctx, memo1, boundary_signature(ctx, O, prot, 1), profiles1)
-        if not any(ok1):
+    side1 = _Side(ctx, 1, sh1s)
+    side2 = _Side(ctx, 2, sh2s)
+    for code, prot in candidates:
+        ok1 = _side_checks(side1, boundary_signature(side1, code, prot))
+        if not ok1:
             continue
-        ok2 = _side_checks(ctx, memo2, boundary_signature(ctx, O, prot, 2), profiles2)
-        if not any(ok2):
+        ok2 = _side_checks(side2, boundary_signature(side2, code, prot))
+        if not ok2:
             continue
+        O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
         base = _boundary_closure(O)
-        for i, good1 in enumerate(ok1):
-            if not good1:
-                continue
-            for j, good2 in enumerate(ok2):
-                if not good2:
-                    continue
+        for i in ok1:
+            for j in ok2:
                 p1, p2 = _combine(base, O, sh1s[i], sh2s[j])
                 if bool((p1 & p1.T).any()):
                     continue
                 yield O, i, j, _matrices_to_table(O, base.edges, p1, p2)
+
+
+def candidate_of(ctx: DecompositionContext, o: Pdag) -> tuple[int, int]:
+    """The row ``(code, protected)`` of the boundary graph ``o``, as
+    :func:`shadow.partial_mec_codes` gives it."""
+    prot = protected_edges(o)
+    labels = ctx.a_graph.vertices
+    code = mask = 0
+    for j, (i, k) in enumerate(ctx.a_pairs):
+        u, v = labels[i], labels[k]
+        if o.has_directed(u, v):
+            trit, e = 1, (u, v)
+        elif o.has_directed(v, u):
+            trit, e = 2, (v, u)
+        else:
+            continue
+        code |= trit << 2 * j
+        if e in prot:
+            mask |= 1 << j
+    return code, mask
 
 
 def is_extension(
@@ -305,4 +379,4 @@ def is_extension(
     _check_boundary(ctx, o)
     _check_side_shadow(ctx, sh1, 1)
     _check_side_shadow(ctx, sh2, 2)
-    return next(extensions(ctx, [o], [sh1], [sh2]), None) is not None
+    return next(extensions(ctx, [candidate_of(ctx, o)], [sh1], [sh2]), None) is not None

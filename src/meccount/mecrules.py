@@ -283,12 +283,15 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]
         if len(masks) == 0:
             continue
         words = _kernels.collider_words(masks, e1, w1, e2, w2, nwords)
-        uniq, inverse = np.unique(words, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        uniq, inverse, sizes = np.unique(words, axis=0, return_inverse=True, return_counts=True)
+        # one stable sort puts each class's masks in one run, in uniq order
+        grouped = masks[np.argsort(inverse.reshape(-1), kind="stable")]
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        fwds = np.bitwise_or.reduceat(grouped, starts).tolist()
+        revs = np.bitwise_or.reduceat(~grouped, starts).tolist()
         for g in range(uniq.shape[0]):
-            sel = masks[inverse == g]
-            fwd = int(np.bitwise_or.reduce(sel))
-            rev = int(np.bitwise_or.reduce(~sel)) & full
+            fwd = fwds[g]
+            rev = revs[g] & full
             key = uniq[g].tobytes()
             if key in classes:
                 f0, r0 = classes[key]

@@ -90,14 +90,22 @@ def project_shadow(s: Shadow, X) -> Shadow:
     return Shadow._trusted(o, table)
 
 
+def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> list:
+    """Every partial MEC with skeleton ``U`` as the kernel gives it: rows
+    ``[code, protected]``, the trit code over ``U.skeleton_edges()`` in
+    order and the bitmask of the strongly protected directed edges."""
+    _require_undirected(U)
+    n, eu, ev, skel, pairs = _encode(U)
+    _check_edge_cap(len(pairs), max_edges, "mark")
+    return _kernels.mark_codes(n, eu, ev, skel, False).tolist()
+
+
 def enumerate_partial_mecs(
     U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
 ) -> Iterator[Pdag]:
     """Every partial MEC with skeleton ``U``, once each, deterministic order."""
-    _require_undirected(U)
-    n, eu, ev, skel, pairs = _encode(U)
-    _check_edge_cap(len(pairs), max_edges, "mark")
-    for code in _kernels.mark_codes(n, eu, ev, skel, False).tolist():
+    pairs = _encode(U)[4]
+    for code, _ in partial_mec_codes(U, max_edges=max_edges):
         yield _pdag_from_code(U, pairs, code)
 
 

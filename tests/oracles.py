@@ -253,3 +253,30 @@ def acyclic_masks_reference(n, eu, ev, lo, hi) -> list:
         if not left:
             out.append(mask)
     return out
+
+
+def td_from_elimination_order(U, order, root=None):
+    """The tree decomposition an elimination order of a connected graph
+    gives, with no bag contracted away: eliminating ``v`` makes the bag of
+    ``v`` and its neighbours left in the filled graph, and that bag hangs
+    off the bag of the neighbour eliminated next.  Rooted at ``root`` (a bag
+    index, the position of its vertex in ``order``), the last bag by default.
+    """
+    from meccount.treedecomp import TreeDecomposition
+
+    adj = {v: set() for v in U.vertices}
+    for u, v in U.skeleton_edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    pos = {v: k for k, v in enumerate(order)}
+    bags, edges = {}, set()
+    for k, v in enumerate(order):
+        later = {u for u in adj[v] if pos[u] > k}
+        bags[k] = frozenset(later | {v})
+        for a in later:
+            adj[a] |= later - {a}
+        if later:
+            edges.add((k, min(pos[u] for u in later)))
+    return TreeDecomposition(
+        bags=bags, tree_edges=frozenset(edges), root=len(order) - 1 if root is None else root
+    )

@@ -29,6 +29,7 @@ from meccount import (
     verify_merge,
 )
 from meccount.extension import DecompositionContext, extensions
+from meccount.shadow import partial_mec_codes
 from meccount.treedecomp import cut_last_child, tree_decomposition, validate_td
 
 import oracles
@@ -180,12 +181,13 @@ def glue_report(suite2, suite3):
                 proj2[v_structures(M2)] = M2
                 side2.setdefault(shadow_of_mec(M2, ctx.b2_vertices), []).append(M2)
             # the engine's decision over the whole triple space
+            rows = partial_mec_codes(ctx.a_graph)
             candidates = list(enumerate_partial_mecs(ctx.a_graph))
             sh1s = list(side1)
             sh2s = list(side2)
             tables = {
                 (O, sh1s[i], sh2s[j]): table
-                for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s)
+                for O, i, j, table in extensions(ctx, rows, sh1s, sh2s)
             }
             # ground truth per class of the glued graph
             realized: dict = {}

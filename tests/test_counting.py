@@ -211,3 +211,21 @@ class TestInvariance:
                         bags=dict(td.bags), tree_edges=td.tree_edges, root=root
                     )
                     assert count_rec(G, rooted, root).total() == expected
+
+
+class TestCyclesWithPendants:
+    def test_engine_matches_brute(self):
+        # the family on which the side check once overcounted (227 for 226)
+        rng = random.Random(64)
+        for _ in range(40):
+            length = rng.randint(5, 8)
+            extra = rng.randint(2, 4)
+            n = length + extra
+            edges = [(i, (i + 1) % length) for i in range(length)]
+            edges += [(rng.randrange(length), length + k) for k in range(extra)]
+            labels = list(range(n))
+            rng.shuffle(labels)  # the labels steer the decomposition's ties
+            G = UndirectedGraph(
+                vertices=labels, edges=[(labels[u], labels[v]) for u, v in edges]
+            )
+            assert count_mecs(G, "fpt") == brute_count_mecs(G), G.edges

@@ -18,7 +18,18 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
-from meccount.extension import DecompositionContext, extensions
+from meccount.extension import (
+    DecompositionContext,
+    _Side,
+    _sub_pdag_from_signature,
+    boundary_signature,
+    candidate_of,
+    extensions,
+    protected_edges,
+)
+from meccount.graph import label_key
+from meccount.mecrules import VStructure, _pdag_from_code, v_structures
+from meccount.shadow import partial_mec_codes
 from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
@@ -203,8 +214,66 @@ class TestGroundTruth:
                             )
                 # the memoized many-shadow path the engine runs
                 yielded = set()
-                candidates = enumerate_partial_mecs(ctx.a_graph)
+                candidates = partial_mec_codes(ctx.a_graph)
                 for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
                     assert table == dpf(ctx, O, sh1s[i], sh2s[j])
                     yielded.add((O, sh1s[i], sh2s[j]))
                 assert yielded == realized
+
+
+def _ladder(k):
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return UndirectedGraph(edges=edges + [(i, k + i) for i in range(k)])
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return UndirectedGraph(edges=edges)
+
+
+def _colliders_of_mask(side, mask):
+    # triple t's two edge positions, each read with the trit its tail needs
+    out = set()
+    for t in range(len(side.sel)):
+        if not (mask >> t) & 1:
+            continue
+        tails = []
+        for j, (u, v) in zip(side.pos, side.edges):
+            if (side.sel[t] >> 2 * j) & 3:
+                tail, mid = (u, v) if (side.want[t] >> 2 * j) & 3 == 1 else (v, u)
+                tails.append(tail)
+        a, c = sorted(tails, key=label_key)
+        out.add(VStructure(a, mid, c))
+    return frozenset(out)
+
+
+class TestIntegerSidePieces:
+    def test_signatures_decode_to_what_the_boundary_shows(self):
+        rng = random.Random(42)
+        graphs = [_ladder(3), _ladder(4), _grid(3, 3)]
+        for _ in range(2):
+            graphs.append(random_connected_graph(rng, 8, max_degree=3, extra=3))
+        for G in graphs:
+            for g, ctx in _contexts_of(G):
+                sides = {s: _Side(ctx, s, []) for s in (1, 2)}
+                for code, prot in partial_mec_codes(ctx.a_graph):
+                    O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
+                    assert candidate_of(ctx, O) == (code, prot)
+                    protected = protected_edges(O)
+                    for s, side in sides.items():
+                        sig = boundary_signature(side, code, prot)
+                        sub = _sub_pdag_from_signature(side, sig)
+                        assert sub.skeleton() == ctx.side_graph(s)
+                        # the marks and protected edges the tuple signature
+                        # read from the whole O
+                        for u, v in ctx.side_graph(s).skeleton_edges():
+                            assert sub.has_directed(u, v) == O.has_directed(u, v)
+                            assert sub.has_directed(v, u) == O.has_directed(v, u)
+                        verts = ctx.side_vertices(s)
+                        assert side.protected(sig) == {
+                            e for e in protected if e[0] in verts and e[1] in verts
+                        }
+                        assert side.code_of(sub) == sig & side.tmask
+                        mask = side.colliders(sig)
+                        assert _colliders_of_mask(side, mask) == v_structures(sub)

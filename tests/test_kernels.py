@@ -13,7 +13,14 @@ import pytest
 
 from meccount import Pdag, UndirectedGraph, set_backend, current_backend
 from meccount import _kernels
-from meccount.mecrules import _collider_triples, _encode, is_mec, is_partial_mec
+from meccount.mecrules import (
+    _collider_triples,
+    _encode,
+    _pdag_from_code,
+    _protected_pairs,
+    is_mec,
+    is_partial_mec,
+)
 
 import oracles
 from conftest import connected_graphs, random_connected_graph
@@ -94,7 +101,7 @@ class TestKernelSemantics:
             n, eu, ev, skel, pairs = _encode(G)
             got = {
                 self._decode(G, pairs, int(c))
-                for c in _kernels.mark_codes(n, eu, ev, skel, require_protection)
+                for c in _kernels.mark_codes(n, eu, ev, skel, require_protection)[:, 0]
             }
             expected = set()
             for marks in itertools.product((0, 1, 2), repeat=len(pairs)):
@@ -122,6 +129,37 @@ class TestKernelSemantics:
             for lo in range(0, 1 << m, 7)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
+
+
+class TestProtectionMasks:
+    def test_masks_match_predicate_and_filter_route(self):
+        rng = random.Random(75)
+        done = 0
+        while done < 100:
+            G = random_connected_graph(rng, rng.randint(2, 8))
+            n, eu, ev, skel, pairs = _encode(G)
+            if len(pairs) > 9:
+                continue
+            done += 1
+            pos = {}
+            for j, (i, k) in enumerate(pairs):
+                pos[i, k] = pos[k, i] = j
+            rows = _kernels.mark_codes(n, eu, ev, skel, False).tolist()
+            whole = []
+            for code, prot in rows:
+                P = _pdag_from_code(G, pairs, code)
+                assert prot == sum(1 << pos[e] for e in _protected_pairs(P))
+                reference = sum(
+                    1 << pos[P._index[u], P._index[v]]
+                    for u, v in P.directed_edges()
+                    if oracles.strongly_protected_reference(P, (u, v))
+                )
+                assert prot == reference, (G.edges, code)
+                directed = sum(1 << j for j in range(len(pairs)) if (code >> 2 * j) & 3)
+                if prot == directed:
+                    whole.append([code, prot])
+            # the filter route keeps exactly the fully protected rows, in order
+            assert _kernels.mark_codes(n, eu, ev, skel, True).tolist() == whole
 
 
 class TestAcyclicMasksAgainstReference:

@@ -21,7 +21,8 @@ from meccount import (
     v_structures,
 )
 from meccount.extension import protected_edges
-from meccount.mecrules import dag_member
+from meccount import _kernels, mecrules
+from meccount.mecrules import _collider_triples, _encode, _orientation_classes, dag_member
 
 import oracles
 from conftest import connected_graphs, random_connected_graph
@@ -233,6 +234,32 @@ class TestBruteCounts:
         assert brute_count_mecs(star) == want
         assert brute_count_mecs_andersson(star) == want
         assert len(enumerate_mecs(star)) == want
+
+    @staticmethod
+    def _classes_one_by_one(G):
+        # each acyclic orientation folded into its class on its own
+        n, eu, ev, skel, pairs = _encode(G)
+        full = (1 << len(pairs)) - 1
+        e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
+        nwords = max(1, (len(e1) + 63) // 64)
+        masks = _kernels.acyclic_masks(n, eu, ev, 0, 1 << len(pairs))
+        words = _kernels.collider_words(masks, e1, w1, e2, w2, nwords)
+        out = {}
+        for mask, row in zip(masks.tolist(), words):
+            fwd, rev = out.get(row.tobytes(), (0, 0))
+            out[row.tobytes()] = (fwd | mask, rev | (full ^ mask))
+        return out
+
+    @pytest.mark.parametrize("chunk", [None, 5, 64])
+    def test_orientation_classes_match_one_by_one_grouping(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(mecrules, "_CHUNK", chunk)
+        rng = random.Random(76)
+        for _ in range(25):
+            G = random_connected_graph(rng, rng.randint(2, 7))
+            if G.edge_count() > 12:
+                continue
+            assert _orientation_classes(G, 24) == self._classes_one_by_one(G)
 
     def test_enumerate_mecs_all_pass_filter(self):
         for G in connected_graphs(4):

@@ -12,6 +12,7 @@ from meccount import (
 )
 from meccount.treedecomp import TreeDecomposition, tree_decomposition
 
+import oracles
 from conftest import random_connected_graph
 
 ROUTES = {
@@ -66,3 +67,21 @@ def test_count_rec_total_does_not_depend_on_the_root():
         }
         assert len(set(totals.values())) == 1, totals
         assert totals[td.root] == brute_count_mecs(G)
+
+
+def test_count_rec_total_does_not_depend_on_the_decomposition():
+    # random elimination orders, uncontracted, against the min_fill one
+    rng = random.Random(93)
+    for _ in range(4):
+        G = random_connected_graph(rng, rng.randint(8, 10), max_degree=3, extra=2)
+        td = tree_decomposition(G, "min_fill")
+        expected = count_rec(G, td, td.root).total()
+        tried = 0
+        while tried < 3:
+            order = list(G.vertices)
+            rng.shuffle(order)
+            td = oracles.td_from_elimination_order(G, order, root=rng.randrange(G.n))
+            if td.width > 4:
+                continue  # keeps each cut's boundary small enough for a fast test
+            tried += 1
+            assert count_rec(G, td, td.root).total() == expected, order
