@@ -13,57 +13,15 @@ shadow space because zero-count factors contribute nothing to any product.
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
-import numpy as np
 
 from .errors import GraphInputError, PreconditionError
 from .extension import DecompositionContext, extensions
 from .graph import Pdag, UndirectedGraph
-from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, enumerate_mecs
-from .shadow import DEFAULT_MARK_ENUM_CAP, Shadow, partial_mec_codes, project_shadow
-from .tfp import tfp_table
+from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, mec_codes
+from .shadow import DEFAULT_MARK_ENUM_CAP, ShadowTable, partial_mec_codes
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
-
-
-class ShadowTable:
-    """Sparse map from boundary shadows to positive class counts.
-
-    ``domain`` is the boundary graph all keys must live on; a shadow that
-    never got an entry counts zero.
-    """
-
-    def __init__(self, domain: Pdag):
-        self.domain = domain
-        self._skeleton = domain.adjacency | domain.adjacency.T
-        self._entries: dict[Shadow, int] = {}
-
-    def add(self, s: Shadow, k: int) -> None:
-        if k < 0:
-            raise ValueError("counts are nonnegative")
-        if k == 0:
-            return
-        sk = s.o.adjacency | s.o.adjacency.T
-        if s.o.vertices != self.domain.vertices or not np.array_equal(sk, self._skeleton):
-            raise GraphInputError("shadow lives on a different boundary graph")
-        self._entries[s] = self._entries.get(s, 0) + k
-
-    def count(self, s: Shadow) -> int:
-        return self._entries.get(s, 0)
-
-    def items(self):
-        return self._entries.items()
-
-    def total(self) -> int:
-        return sum(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Shadow]:
-        return iter(self._entries)
 
 
 def brute_force_count(
@@ -71,9 +29,9 @@ def brute_force_count(
 ) -> ShadowTable:
     """Leaf table: one entry per class of ``G``, keyed by its full-graph
     shadow (the class graph with its own path table), each counting one."""
-    F = ShadowTable(domain=G.skeleton())
-    for M in enumerate_mecs(G, max_edges=max_edges):
-        F.add(Shadow._trusted(M, tfp_table(M)), 1)
+    F = ShadowTable(domain=G)
+    for code in mec_codes(G, max_edges=max_edges):
+        F.add_class(code)
     return F
 
 
@@ -135,15 +93,18 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
 
 
 def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTable:
-    x_prime = frozenset(ctx.h.closed_neighborhood(ctx.s1))
-    F = ShadowTable(domain=ctx.h.induced_subgraph(x_prime))
+    """The classes of the two sides glued over every boundary candidate,
+    grouped by their shadow on ``x' = N[s1]``: the glued rows live on the
+    a-graph, which holds ``x'``, so the table keeps the a-graph as frame."""
+    x_prime = ctx.h.closed_neighborhood(ctx.s1)
+    F = ShadowTable(ctx.h.induced_subgraph(x_prime), ctx.a_graph)
     if not F1 or not F2:
         return F
-    sh1s, counts1 = zip(*F1.items())
-    sh2s, counts2 = zip(*F2.items())
+    counts1 = list(F1.entries.values())
+    counts2 = list(F2.entries.values())
     candidates = partial_mec_codes(ctx.a_graph, max_edges=mark_cap)
-    for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
-        F.add(project_shadow(Shadow._trusted(O, table), x_prime), counts1[i] * counts2[j])
+    for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2):
+        F.add_rows(code, p1, p2, counts1[i] * counts2[j])
     return F
 
 

@@ -13,15 +13,21 @@ counting engine, :func:`is_extension` and the tests all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GraphInputError, PreconditionError
 from .graph import Pdag, UndirectedGraph
-from .mecrules import _collider_triples, _pdag_from_code, _protected_pairs, is_partial_mec
-from .shadow import Shadow
-from .tfp import TfpTable, _close_p1, _close_p2, _matrices_to_table, _seed_matrices
+from .mecrules import (
+    _code_of_pdag,
+    _code_rows,
+    _collider_triples,
+    _pdag_from_code,
+    _protected_pairs,
+    _skeleton_pairs,
+    is_partial_mec,
+)
+from .shadow import Shadow, ShadowTable
+from .tfp import TfpTable, _close_p1, _close_p2, _closed_rows, _matrices_to_table
 
 
 class DecompositionContext:
@@ -64,8 +70,8 @@ class DecompositionContext:
         self.b2_graph = self.half2.induced_subgraph(self.b2_vertices)
         # the a-graph's skeleton edges as index pairs, in the order the
         # candidates' trit codes use
-        idx = self.a_graph._index
-        self.a_pairs = [(idx[u], idx[v]) for u, v in self.a_graph.skeleton_edges()]
+        self.a_pairs = _skeleton_pairs(self.a_graph)
+        self.a_skel = _code_rows(self.a_graph.n, self.a_pairs, 0)
 
     def side_graph(self, side: int) -> Pdag:
         return self.b1_graph if side == 1 else self.b2_graph
@@ -79,16 +85,6 @@ def is_valid_dpf(t: TfpTable) -> bool:
     return not any((f, e) in t.p1 for e, f in t.p1)
 
 
-def _check_side_shadow(ctx: DecompositionContext, sh: Shadow, side: int) -> None:
-    expect = ctx.side_graph(side)
-    if sh.o.vertex_set != expect.vertex_set or not np.array_equal(
-        sh.o.adjacency | sh.o.adjacency.T, expect.adjacency | expect.adjacency.T
-    ):
-        raise GraphInputError(
-            f"side-{side} shadow does not live on the bag boundary graph"
-        )
-
-
 def _check_boundary(ctx: DecompositionContext, o: Pdag) -> None:
     if o.vertex_set != ctx.a_graph.vertex_set or not np.array_equal(
         o.adjacency | o.adjacency.T, ctx.a_graph.adjacency
@@ -98,51 +94,67 @@ def _check_boundary(ctx: DecompositionContext, o: Pdag) -> None:
         raise PreconditionError("candidate boundary graph must be a partial MEC")
 
 
-@dataclass
+# -- the derived path table on integer rows --------------------------------
+#
+# Rows live on the a-graph's ordered-pair slots ``u * n + v`` (see ``tfp``).
+# A candidate's own closure is computed once and shared by all its pairs;
+# each pair imports its two shadows' rows, through position maps built once
+# per cut and side, and closes again only when the import added a bit.
+
+
 class _BoundaryClosure:
-    """Step-1 state of the derived-path computation, reusable across pairs."""
+    """A candidate's own closed rows, and which slots it keeps present."""
 
-    edges: list
-    eidx: dict
-    p1: np.ndarray
-    p2: np.ndarray
-    vindex: dict
+    __slots__ = ("n", "slots", "present", "p1", "p2", "cyclic")
 
-
-def _boundary_closure(o: Pdag) -> _BoundaryClosure:
-    edges, eidx, p1, p2 = _seed_matrices(o)
-    p1c = _close_p1(p1)
-    p2c = _close_p2(p1c, p2, edges, o._index)
-    return _BoundaryClosure(edges=edges, eidx=eidx, p1=p1c, p2=p2c, vindex=o._index)
+    def __init__(self, n, slots, p1, p2, cyclic):
+        self.n, self.slots, self.p1, self.p2, self.cyclic = n, slots, p1, p2, cyclic
+        self.present = sum(1 << s for s in slots)
 
 
-def _import_side(base: _BoundaryClosure, sh: Shadow, p1: np.ndarray, p2: np.ndarray):
-    # copy the child's entries whose ordered pairs survive in the boundary's
-    # ordered-edge view; pairs oriented away by the boundary simply have no
-    # row or column to land in, mirroring the domain of the closure loops
-    eidx = base.eidx
-    vindex = base.vindex
-    for e, f in sh.table.p1:
-        ie = eidx.get(e)
-        jf = eidx.get(f)
-        if ie is not None and jf is not None:
-            p1[ie, jf] = True
-    for e, w in sh.table.p2:
-        ie = eidx.get(e)
-        if ie is not None:
-            p2[ie, vindex[w]] = True
+def _boundary_closure(ctx: DecompositionContext, code: int) -> _BoundaryClosure:
+    n = ctx.a_graph.n
+    return _BoundaryClosure(n, *_closed_rows(n, _code_rows(n, ctx.a_pairs, code), ctx.a_skel))
 
 
-def _combine(base: _BoundaryClosure, o: Pdag, sh1: Shadow, sh2: Shadow):
-    p1 = base.p1.copy()
-    p2 = base.p2.copy()
-    _import_side(base, sh1, p1, p2)
-    _import_side(base, sh2, p1, p2)
-    if np.array_equal(p1, base.p1) and np.array_equal(p2, base.p2):
-        return p1, p2  # the base is closed already
-    p1 = _close_p1(p1)
-    p2 = _close_p2(p1, p2, base.edges, base.vindex)
-    return p1, p2
+def _combine(base: _BoundaryClosure, prof1: "_ShadowProfile", prof2: "_ShadowProfile"):
+    """The derived rows ``(p1, p2, cyclic)`` of a candidate and two shadows.
+
+    A shadow's entries are imported where both ends survive in the
+    candidate's ordered-edge view; pairs oriented away by the boundary
+    simply have no slot to land in.  ``cyclic`` tells that two distinct
+    edges reach each other (see ``tfp._close_p1``).
+    """
+    present = base.present
+    p1, p2 = base.p1, base.p2
+    add1, add2 = [], []
+    for prof in (prof1, prof2):
+        for s, row in prof.p1.items():
+            if present >> s & 1:
+                row &= present
+                if row & ~p1[s]:
+                    add1.append((s, row))
+        for s, row in prof.p2.items():
+            if present >> s & 1 and row & ~p2[s]:
+                add2.append((s, row))
+    if not add1 and not add2:
+        return p1, p2, base.cyclic  # the base is closed already
+    cyclic = base.cyclic
+    if add1:
+        p1 = p1[:]
+        for s, row in add1:
+            p1[s] |= row
+        cyclic = _close_p1(p1, base.slots) or cyclic
+    p2 = p2[:]
+    for s, row in add2:
+        p2[s] |= row
+    return p1, _close_p2(p1, p2, base.slots, base.n), cyclic
+
+
+def _single(graph: Pdag, sh: Shadow) -> ShadowTable:
+    F = ShadowTable(graph)
+    F.add(sh, 1)
+    return F
 
 
 def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTable:
@@ -153,11 +165,16 @@ def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTabl
     sh2)``; :func:`is_extension` is the checked entry point.
     """
     _check_boundary(ctx, o)
-    _check_side_shadow(ctx, sh1, 1)
-    _check_side_shadow(ctx, sh2, 2)
-    base = _boundary_closure(o)
-    p1, p2 = _combine(base, o, sh1, sh2)
-    return _matrices_to_table(o, base.edges, p1, p2)
+    side1 = _Side(ctx, 1, _single(ctx.b1_graph, sh1))
+    side2 = _Side(ctx, 2, _single(ctx.b2_graph, sh2))
+    base = _boundary_closure(ctx, candidate_of(ctx, o)[0])
+    p1, p2, _ = _combine(base, side1.profile(0), side2.profile(0))
+    return _derived_table(ctx, p1, p2)
+
+
+def _derived_table(ctx: DecompositionContext, p1, p2) -> TfpTable:
+    """The path table of derived rows over all the a-graph's slots."""
+    return _matrices_to_table(ctx.a_graph.vertices, range(ctx.a_graph.n ** 2), p1, p2)
 
 
 # -- structural mark conditions -----------------------------------------
@@ -165,86 +182,128 @@ def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTabl
 # A boundary candidate is the kernel's row ``(code, protected)`` over the
 # a-graph's skeleton edges ``ctx.a_pairs`` (see ``shadow.partial_mec_codes``).
 # A side check sees only the side's part of it, one integer: the trits at
-# the side's edge positions and the protected bits there.
+# the side's edge positions and the protected bits there.  A side's shadows
+# are the integer keys of its table, whose frame numbers vertices, slots and
+# edge positions its own way; the side maps them onto the a-graph's.
 
 
 class _ShadowProfile:
-    """Per-shadow facts reused across many boundary candidates."""
+    """Per-shadow facts reused across many boundary candidates: its directed
+    edges, its undirected edges in both orientations, each as ``(u, v, slot
+    of (u, v), slot of (v, u), index of u, index of v, a-graph position)``,
+    and its path rows by a-graph slot."""
 
-    __slots__ = ("directed", "vstructs", "und_pairs", "p1", "p2")
+    __slots__ = ("directed", "und", "p1", "p2")
 
-    def __init__(self, sh: Shadow, vstructs: int):
-        self.directed = sh.o.directed_edges()
-        self.vstructs = vstructs
-        pairs = []
-        for u, v in sh.o.undirected_edges():
-            pairs.append((u, v))
-            pairs.append((v, u))
-        self.und_pairs = tuple(pairs)
-        self.p1 = sh.table.p1
-        self.p2 = sh.table.p2
+    def __init__(self, directed, und, p1, p2):
+        self.directed, self.und, self.p1, self.p2 = directed, und, p1, p2
 
 
 class _Side:
     """One side of a cut as its checks see the candidates: where its edges
-    sit in the a-graph's codes, its potential colliders, its shadows'
-    profiles bucketed by collider set, and the verdicts per signature."""
+    sit in the a-graph's codes and in its table's frame, its potential
+    colliders, its table's shadows bucketed by collider set, their profiles
+    once a bucket is first checked, and the verdicts per signature."""
 
     __slots__ = ("graph", "pos", "edges", "pairs", "tmask", "pmask", "shift", "sel", "want",
-                 "buckets", "memo")
+                 "keys", "slots", "orient", "smap", "vmap", "buckets", "profiles", "memo")
 
-    def __init__(self, ctx: DecompositionContext, side: int, shadows):
+    def __init__(self, ctx: DecompositionContext, side: int, table: ShadowTable):
         g = ctx.side_graph(side)
-        labels = ctx.a_graph.vertices
+        dom = table.domain
+        if dom.vertices != g.vertices or not np.array_equal(dom.adjacency | dom.adjacency.T, g.adjacency):
+            raise GraphInputError(f"side-{side} table does not live on the bag boundary graph")
+        labels, aidx, n = ctx.a_graph.vertices, ctx.a_graph._index, ctx.a_graph.n
         where = {}
         for j, (i, k) in enumerate(ctx.a_pairs):
-            where[labels[i], labels[k]] = where[labels[k], labels[i]] = j
+            where[labels[i], labels[k]] = j
+        # both numberings list a pair's ends in label order, so a trit reads
+        # the same in either
+        fl, nf = table.frame.vertices, table.frame.n
+        found = sorted((where[fl[i], fl[k]], jf, i, k) for jf, i, k in table.edges)
         self.graph = g
-        # the side's edges by a-graph position, each oriented as its a-graph pair
-        self.pos = sorted(where[e] for e in g.skeleton_edges())
-        self.edges = [(labels[ctx.a_pairs[j][0]], labels[ctx.a_pairs[j][1]]) for j in self.pos]
+        self.pos = [j for j, _, _, _ in found]
+        self.edges = [(fl[i], fl[k]) for _, _, i, k in found]
         self.pairs = [(g._index[u], g._index[v]) for u, v in self.edges]
         self.tmask = sum(3 << 2 * j for j in self.pos)
         self.pmask = sum(1 << j for j in self.pos)
         self.shift = 2 * len(ctx.a_pairs)
+        # the frame's slots and vertices, and the side's edges, as the
+        # a-graph numbers them
+        self.vmap = {}
+        self.smap = {}
+        self.orient = []
+        for j, jf, i, k in found:
+            u, v = fl[i], fl[k]
+            ai, ak = self.vmap[i], self.vmap[k] = aidx[u], aidx[v]
+            self.smap[i * nf + k] = ai * n + ak
+            self.smap[k * nf + i] = ak * n + ai
+            fwd = (u, v, ai * n + ak, ak * n + ai, ai, ak, j)
+            back = (v, u, ak * n + ai, ai * n + ak, ak, ai, j)
+            self.orient.append((2 * jf, fwd, back))
         skel = [0] * g.n
         for i, k in self.pairs:
             skel[i] |= 1 << k
             skel[k] |= 1 << i
         # triple t is a collider when both its edges point into its middle
-        # vertex: trit 1 on an edge whose pair lists the tail first, else 2
+        # vertex: trit 1 on an edge whose pair lists the tail first, else 2;
+        # read at a-graph positions in signatures, at frame positions in keys
         self.sel, self.want = [], []
+        fsel, fwant = [], []
         for a, wa, c, wc in zip(*(x.tolist() for x in _collider_triples(g.n, self.pairs, skel))):
-            ja, jc = 2 * self.pos[a], 2 * self.pos[c]
-            self.sel.append(3 << ja | 3 << jc)
-            self.want.append((2 - wa) << ja | (2 - wc) << jc)
+            for sel, want, ja, jc in (
+                (self.sel, self.want, 2 * self.pos[a], 2 * self.pos[c]),
+                (fsel, fwant, 2 * found[a][1], 2 * found[c][1]),
+            ):
+                sel.append(3 << ja | 3 << jc)
+                want.append((2 - wa) << ja | (2 - wc) << jc)
+        self.keys = list(table.entries)
+        self.slots = table.slots
         self.buckets: dict = {}
-        for i, sh in enumerate(shadows):
-            prof = _ShadowProfile(sh, self.colliders(self.code_of(sh.o)))
-            self.buckets.setdefault(prof.vstructs, []).append((i, prof))
+        for i, key in enumerate(self.keys):
+            self.buckets.setdefault(_realized(key[0], fsel, fwant), []).append(i)
+        self.profiles: list = [None] * len(self.keys)
         self.memo: dict = {}
 
     def colliders(self, code: int) -> int:
         """Bitmask of the potential collider triples that ``code`` realizes."""
-        return sum(1 << t for t, (s, w) in enumerate(zip(self.sel, self.want)) if (code & s) == w)
+        return _realized(code, self.sel, self.want)
 
-    def code_of(self, o: Pdag) -> int:
-        """The trits of a graph over the side's skeleton, at a-graph positions."""
-        adj, idx = o.adjacency, o._index
-        code = 0
-        for j, (u, v) in zip(self.pos, self.edges):
-            fwd, back = adj[idx[u], idx[v]], adj[idx[v], idx[u]]
-            if fwd != back:
-                code |= (1 if fwd else 2) << 2 * j
-        return code
+    def profile(self, i: int) -> _ShadowProfile:
+        """The profile of the ``i``-th shadow, built on first use."""
+        prof = self.profiles[i]
+        if prof is None:
+            code, p1, p2 = self.keys[i]
+            directed, und = [], []
+            for jf, fwd, back in self.orient:
+                trit = code >> jf & 3
+                if trit == 0:
+                    und += (fwd, back)
+                else:
+                    directed.append(fwd[:2] if trit == 1 else back[:2])
+            smap, vmap = self.smap, self.vmap
+            rows1, rows2 = {}, {}
+            for s, r1, r2 in zip(self.slots, p1, p2):
+                if r1:
+                    rows1[smap[s]] = _moved(r1, smap)
+                if r2:
+                    rows2[smap[s]] = _moved(r2, vmap)
+            prof = self.profiles[i] = _ShadowProfile(directed, und, rows1, rows2)
+        return prof
 
-    def protected(self, sig: int) -> frozenset:
-        """The protected directed edges a signature records, as label pairs."""
-        return frozenset(
-            (u, v) if (sig >> 2 * j) & 3 == 1 else (v, u)
-            for j, (u, v) in zip(self.pos, self.edges)
-            if (sig >> self.shift + j) & 1
-        )
+
+def _realized(code: int, sel, want) -> int:
+    return sum(1 << t for t, (s, w) in enumerate(zip(sel, want)) if code & s == w)
+
+
+def _moved(row: int, where: dict) -> int:
+    """``row`` with bit ``b`` moved to bit ``where[b]``."""
+    out = 0
+    while row:
+        low = row & -row
+        row ^= low
+        out |= 1 << where[low.bit_length() - 1]
+    return out
 
 
 def boundary_signature(side: _Side, code: int, prot: int) -> int:
@@ -261,34 +320,38 @@ def _sub_pdag_from_signature(side: _Side, sig: int) -> Pdag:
     return _pdag_from_code(side.graph, side.pairs, compact)
 
 
-def _struct_ok_profiled(sub: Pdag, sub_vstructs, prot, prof: _ShadowProfile) -> bool:
+def _struct_ok_profiled(sub: Pdag, prot: int, prof: _ShadowProfile) -> bool:
     """Mark conditions between a side shadow and the boundary graph, seen
-    through the side's signature (``sub``, its collider set ``sub_vstructs``
-    and its protected edges ``prot``).
+    through the side's signature: ``sub``, the side's graph with the
+    signature's marks, and ``prot``, its protected bits by a-graph position.
+    The shadow's collider set is the signature's (the bucket ensures it).
 
-    (1) the shadow's directed edges keep their direction; (2) collider sets
-    agree on the shadow's vertices; (3) each edge undirected in the shadow
-    is directed in the boundary exactly when protection or one of the two
-    imported reachability justifications forces it, and never against a
-    direction a justification forces.
+    (1) the shadow's directed edges keep their direction; (2) each edge
+    undirected in the shadow is directed in the boundary exactly when
+    protection or one of the two imported reachability justifications
+    forces it, and never against a direction a justification forces.
     """
-    if prof.vstructs != sub_vstructs:
-        return False
     for u, v in prof.directed:
         if not sub.has_directed(u, v):
             return False
     # the shadow's undirected edges are edges of ``sub`` too: each is
     # directed one way in it, or undirected
-    activated = {(x, y) for x, y in prof.und_pairs if sub.has_directed(x, y)}
+    und = prof.und
+    flags = [sub.has_directed(e[0], e[1]) for e in und]
+    activated = [e for e, on in zip(und, flags) if on]
     p1, p2 = prof.p1, prof.p2
-    for u, v in prof.und_pairs:
-        justified = any(
-            ((x, y), (u, v)) in p1
-            or (((x, y), v) in p2 and ((v, u), x) in p2)
-            for x, y in activated
-        )
-        if (u, v) in activated:
-            if not ((u, v) in prot or justified):
+    for (_, _, suv, svu, _, iv, j), on in zip(und, flags):
+        # x -> y justifies u -> v by a path x -> y ... u -> v, or by paths
+        # x -> y ... v and v -> u ... x
+        justified = False
+        for _, _, sxy, _, ix, _, _ in activated:
+            if p1.get(sxy, 0) >> suv & 1 or (
+                p2.get(sxy, 0) >> iv & 1 and p2.get(svu, 0) >> ix & 1
+            ):
+                justified = True
+                break
+        if on:
+            if not (prot >> j & 1 or justified):
                 return False
         elif justified:
             # forced u -> v, but the boundary leaves the edge undirected or
@@ -310,30 +373,29 @@ def _side_checks(side: _Side, sig: int) -> list:
     """
     ok = side.memo.get(sig)
     if ok is None:
-        vs = side.colliders(sig)
-        bucket = side.buckets.get(vs)
+        bucket = side.buckets.get(side.colliders(sig))
         ok = []
         if bucket:
             sub = _sub_pdag_from_signature(side, sig)
-            prot = side.protected(sig)
-            ok = [i for i, prof in bucket if _struct_ok_profiled(sub, vs, prot, prof)]
+            prot = sig >> side.shift
+            ok = [i for i in bucket if _struct_ok_profiled(sub, prot, side.profile(i))]
         side.memo[sig] = ok
     return ok
 
 
-def extensions(ctx: DecompositionContext, candidates, sh1s, sh2s):
-    """Every extension among ``candidates`` x ``sh1s`` x ``sh2s``.
+def extensions(ctx: DecompositionContext, candidates, F1: ShadowTable, F2: ShadowTable):
+    """Every extension among ``candidates`` x ``F1`` x ``F2``.
 
     ``candidates`` are rows ``(code, protected)`` of partial MECs on
-    ``ctx.a_graph``, as :func:`shadow.partial_mec_codes` gives them.
-    Yields ``(O, i, j, table)`` for each candidate boundary graph ``O``
-    that extends ``sh1s[i]`` and ``sh2s[j]``, with ``table`` the derived
-    path table of the three, in candidate order, then ``i``, then ``j``.
-    The shadows must live on the side boundary graphs; :func:`is_extension`
-    is the checked entry point.
+    ``ctx.a_graph``, as :func:`shadow.partial_mec_codes` gives them; ``F1``
+    and ``F2`` are tables on the side boundary graphs.  Yields ``(code, i,
+    j, p1, p2)`` for each candidate that extends the ``i``-th shadow of
+    ``F1`` and the ``j``-th of ``F2`` (in table order), with ``p1`` and
+    ``p2`` the derived path rows of the three over all the a-graph's slots
+    (see ``tfp``), in candidate order, then ``i``, then ``j``.
     """
-    side1 = _Side(ctx, 1, sh1s)
-    side2 = _Side(ctx, 2, sh2s)
+    side1 = _Side(ctx, 1, F1)
+    side2 = _Side(ctx, 2, F2)
     for code, prot in candidates:
         ok1 = _side_checks(side1, boundary_signature(side1, code, prot))
         if not ok1:
@@ -341,14 +403,13 @@ def extensions(ctx: DecompositionContext, candidates, sh1s, sh2s):
         ok2 = _side_checks(side2, boundary_signature(side2, code, prot))
         if not ok2:
             continue
-        O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
-        base = _boundary_closure(O)
+        base = _boundary_closure(ctx, code)
         for i in ok1:
+            prof1 = side1.profiles[i]
             for j in ok2:
-                p1, p2 = _combine(base, O, sh1s[i], sh2s[j])
-                if bool((p1 & p1.T).any()):
-                    continue
-                yield O, i, j, _matrices_to_table(O, base.edges, p1, p2)
+                p1, p2, cyclic = _combine(base, prof1, side2.profiles[j])
+                if not cyclic:
+                    yield code, i, j, p1, p2
 
 
 def candidate_of(ctx: DecompositionContext, o: Pdag) -> tuple[int, int]:
@@ -356,17 +417,11 @@ def candidate_of(ctx: DecompositionContext, o: Pdag) -> tuple[int, int]:
     :func:`shadow.partial_mec_codes` gives it."""
     prot = protected_edges(o)
     labels = ctx.a_graph.vertices
-    code = mask = 0
+    code = _code_of_pdag(o, labels, [(j, i, k) for j, (i, k) in enumerate(ctx.a_pairs)])
+    mask = 0
     for j, (i, k) in enumerate(ctx.a_pairs):
-        u, v = labels[i], labels[k]
-        if o.has_directed(u, v):
-            trit, e = 1, (u, v)
-        elif o.has_directed(v, u):
-            trit, e = 2, (v, u)
-        else:
-            continue
-        code |= trit << 2 * j
-        if e in prot:
+        trit = code >> 2 * j & 3
+        if trit and ((labels[i], labels[k]) if trit == 1 else (labels[k], labels[i])) in prot:
             mask |= 1 << j
     return code, mask
 
@@ -377,6 +432,6 @@ def is_extension(
     """Full extension test: structural mark conditions on both sides, then
     antisymmetry of the combined path table."""
     _check_boundary(ctx, o)
-    _check_side_shadow(ctx, sh1, 1)
-    _check_side_shadow(ctx, sh2, 2)
-    return next(extensions(ctx, [candidate_of(ctx, o)], [sh1], [sh2]), None) is not None
+    F1 = _single(ctx.b1_graph, sh1)
+    F2 = _single(ctx.b2_graph, sh2)
+    return next(extensions(ctx, [candidate_of(ctx, o)], F1, F2), None) is not None

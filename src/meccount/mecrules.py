@@ -174,10 +174,16 @@ def _require_undirected(U: Pdag) -> Pdag:
     return U
 
 
+def _skeleton_pairs(g: Pdag) -> list[tuple[int, int]]:
+    """``g``'s skeleton edges as vertex index pairs, in the order trit codes
+    use (see :func:`_pdag_from_code`)."""
+    return [(g._index[u], g._index[v]) for u, v in g.skeleton_edges()]
+
+
 def _encode(g: Pdag):
     """Kernel encoding of a skeleton: index arrays and bitmask rows."""
     n = g.n
-    pairs = [(g._index[u], g._index[v]) for u, v in g.skeleton_edges()]
+    pairs = _skeleton_pairs(g)
     m = len(pairs)
     _kernels.check_bitset_capacity(n, m)
     eu = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -225,20 +231,50 @@ def _check_edge_cap(m: int, max_edges: int, sweep: str) -> None:
         )
 
 
-def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
-    """The graph over ``U``'s vertices that trit ``j`` of ``code`` marks on
-    pair ``j = (i, k)``: 0 undirected, 1 ``i -> k``, 2 ``k -> i``."""
-    n = U.n
-    cells = bytearray(n * n)
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _code_rows(n: int, pairs, code: int) -> list[int]:
+    """The graph that trit ``j`` of ``code`` marks on pair ``j = (i, k)``
+    (0 undirected, 1 ``i -> k``, 2 ``k -> i``) as adjacency rows: bit ``k``
+    of row ``i`` is set when the ordered pair ``(i, k)`` is present."""
+    adj = [0] * n
     for j, (i, k) in enumerate(pairs):
-        trit = (code >> (2 * j)) & 3
+        trit = code >> 2 * j & 3
         if trit != 2:
-            cells[i * n + k] = 1
+            adj[i] |= 1 << k
         if trit != 1:
-            cells[k * n + i] = 1
+            adj[k] |= 1 << i
+    return adj
+
+
+def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
+    """The graph over ``U``'s vertices that ``code`` marks on ``pairs`` (see
+    :func:`_code_rows`)."""
+    n = U.n
+    # row u's bit v is bit u * n + v of one numeral; a guard bit above the
+    # n * n cells keeps its leading zeros, and reading the digits backwards
+    # without it lists the cells in order
+    flat = 1 << n * n
+    for u, row in enumerate(_code_rows(n, pairs, code)):
+        flat |= row << u * n
+    cells = format(flat, "b")[:0:-1].encode().translate(_DIGIT_BYTES)
     # read-only from the start, so the graph keeps it without a copy
-    adj = np.frombuffer(bytes(cells), dtype=bool).reshape(n, n)
+    adj = np.frombuffer(cells, dtype=bool).reshape(n, n)
     return Pdag._from_matrix(U.vertices, adj)
+
+
+def _code_of_pdag(P: Pdag, labels, edges) -> int:
+    """The trit code of ``P``'s marks on ``edges``, triples ``(j, i, k)``:
+    trit ``j`` on the edge between ``labels[i]`` and ``labels[k]``."""
+    code = 0
+    for j, i, k in edges:
+        u, v = labels[i], labels[k]
+        if P.has_directed(u, v):
+            code |= 1 << 2 * j
+        elif P.has_directed(v, u):
+            code |= 2 << 2 * j
+    return code
 
 
 def _code_of_masks(fwd: int, rev: int) -> int:
@@ -303,13 +339,18 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]
 
 def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[Pdag]:
     """All class-representative graphs over skeleton ``U``, deterministically ordered."""
+    pairs = _skeleton_pairs(U)
+    mecs = [_pdag_from_code(U, pairs, code) for code in mec_codes(U, max_edges=max_edges)]
+    return sorted(mecs, key=lambda M: M.adjacency.tobytes())
+
+
+def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]:
+    """The classes over skeleton ``U`` as trit codes over its skeleton edges
+    (see :func:`_pdag_from_code`), one per class."""
     _require_undirected(U)
     if U.edge_count() == 0:
-        return [Pdag(vertices=U.vertices)]
-    pairs = [(U._index[u], U._index[v]) for u, v in U.skeleton_edges()]
-    classes = _orientation_classes(U, max_edges)
-    mecs = [_pdag_from_code(U, pairs, _code_of_masks(fwd, rev)) for fwd, rev in classes.values()]
-    return sorted(mecs, key=lambda M: M.adjacency.tobytes())
+        return [0]
+    return [_code_of_masks(fwd, rev) for fwd, rev in _orientation_classes(U, max_edges).values()]
 
 
 def brute_count_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> int:

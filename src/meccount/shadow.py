@@ -9,6 +9,7 @@ recursion, which is what makes the sparse counting tables sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from . import _kernels
@@ -16,13 +17,16 @@ from .errors import GraphInputError, PreconditionError
 from .graph import Pdag, label_key
 from .mecrules import (
     _check_edge_cap,
+    _code_of_pdag,
+    _code_rows,
     _encode,
     _pdag_from_code,
     _require_undirected,
+    _skeleton_pairs,
     is_mec,
     is_partial_mec,
 )
-from .tfp import TfpTable, tfp_table
+from .tfp import TfpTable, _closed_rows, _matrices_to_table, tfp_table
 
 DEFAULT_MARK_ENUM_CAP = 20  # max boundary edges for three-way mark enumeration
 
@@ -59,6 +63,110 @@ class Shadow:
     @property
     def key(self) -> bytes:
         return shadow_key(self)
+
+
+class ShadowTable:
+    """Sparse map from boundary shadows to positive class counts.
+
+    ``domain`` is the boundary graph all shadows must live on; a shadow that
+    never got an entry counts zero.  Inside, a shadow is the integer key
+    ``(code, p1, p2)`` over a frame graph holding the domain as an induced
+    subgraph (the domain itself unless given): ``code`` has the shadow's
+    marks as trits at the frame's skeleton-edge positions ``pairs`` (see
+    ``mecrules._code_rows``), and ``p1[t]``, ``p2[t]`` are the path-table
+    rows of the domain's ordered pair ``slots[t]``, as bits over the frame's
+    ordered-pair slots and vertices (see ``tfp``).  The counting engine adds
+    classes as codes and rows; shadows are encoded and decoded only where
+    this class takes or hands them out.
+    """
+
+    def __init__(self, domain: Pdag, frame: Pdag | None = None):
+        self.domain = domain
+        self.frame = frame = domain if frame is None else frame
+        self.pairs = pairs = _skeleton_pairs(frame)
+        labels, inside, n = frame.vertices, domain.vertex_set, frame.n
+        # the domain's skeleton edges as (frame position, frame pair)
+        self.edges = [
+            (j, i, k) for j, (i, k) in enumerate(pairs) if labels[i] in inside and labels[k] in inside
+        ]
+        self.slots = tuple(s for _, i, k in self.edges for s in (i * n + k, k * n + i))
+        self._masks = (
+            sum(3 << 2 * j for j, _, _ in self.edges),
+            sum(1 << s for s in self.slots),
+            sum(1 << frame._index[v] for v in domain.vertices),
+        )
+        self.entries: dict[tuple, int] = {}
+
+    def _key(self, code: int, p1, p2) -> tuple:
+        """The key of the shadow on the domain of a graph on the frame: its
+        trit ``code``, and its rows ``p1[s]``, ``p2[s]`` for every frame slot
+        ``s``.  Whatever lies outside the domain is dropped."""
+        tmask, smask, vmask = self._masks
+        return (
+            code & tmask,
+            tuple([p1[s] & smask for s in self.slots]),
+            tuple([p2[s] & vmask for s in self.slots]),
+        )
+
+    def add_rows(self, code: int, p1, p2, k: int) -> None:
+        """Count ``k`` more classes of a graph on the frame with trit
+        ``code`` and path rows ``p1``, ``p2``, by their shadow on the
+        domain."""
+        key = self._key(code, p1, p2)
+        self.entries[key] = self.entries.get(key, 0) + k
+
+    def add_class(self, code: int, k: int = 1) -> None:
+        """Count ``k`` more classes whose graph is the whole frame marked by
+        ``code``, with its own path table."""
+        n, pairs = self.frame.n, self.pairs
+        _, p1, p2, _ = _closed_rows(n, _code_rows(n, pairs, code), _code_rows(n, pairs, 0))
+        self.add_rows(code, p1, p2, k)
+
+    @cached_property
+    def _skeleton(self):
+        return self.domain.vertices, self.domain.skeleton_edges()
+
+    def _on_domain(self, s: Shadow) -> bool:
+        return (s.o.vertices, s.o.skeleton_edges()) == self._skeleton
+
+    def _key_of(self, s: Shadow) -> tuple:
+        labels, fi, n = self.frame.vertices, self.frame._index, self.frame.n
+        p1, p2 = [0] * (n * n), [0] * (n * n)
+        for (a, b), (c, d) in s.table.p1:
+            p1[fi[a] * n + fi[b]] |= 1 << fi[c] * n + fi[d]
+        for (a, b), w in s.table.p2:
+            p2[fi[a] * n + fi[b]] |= 1 << fi[w]
+        return self._key(_code_of_pdag(s.o, labels, self.edges), p1, p2)
+
+    def _shadow(self, key: tuple) -> Shadow:
+        code, p1, p2 = key
+        o = _pdag_from_code(self.frame, self.pairs, code).induced_subgraph(self.domain.vertices)
+        return Shadow._trusted(o, _matrices_to_table(self.frame.vertices, self.slots, p1, p2))
+
+    def add(self, s: Shadow, k: int) -> None:
+        if k < 0:
+            raise ValueError("counts are nonnegative")
+        if k == 0:
+            return
+        if not self._on_domain(s):
+            raise GraphInputError("shadow lives on a different boundary graph")
+        key = self._key_of(s)
+        self.entries[key] = self.entries.get(key, 0) + k
+
+    def count(self, s: Shadow) -> int:
+        return self.entries.get(self._key_of(s), 0) if self._on_domain(s) else 0
+
+    def items(self) -> list[tuple[Shadow, int]]:
+        return [(self._shadow(key), k) for key, k in self.entries.items()]
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator[Shadow]:
+        return (self._shadow(key) for key in self.entries)
 
 
 def shadow_of_mec(M: Pdag, Y) -> Shadow:
@@ -104,7 +212,7 @@ def enumerate_partial_mecs(
     U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
 ) -> Iterator[Pdag]:
     """Every partial MEC with skeleton ``U``, once each, deterministic order."""
-    pairs = _encode(U)[4]
+    pairs = _skeleton_pairs(U)
     for code, _ in partial_mec_codes(U, max_edges=max_edges):
         yield _pdag_from_code(U, pairs, code)
 

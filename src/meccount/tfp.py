@@ -56,49 +56,100 @@ class TfpTable:
 EMPTY_TABLE = TfpTable(frozenset(), frozenset())
 
 
-def _ordered_edge_list(P: Pdag) -> list[Edge]:
-    return list(P.ordered_edges())
+# -- closure on integer rows ----------------------------------------------
+#
+# A graph on vertices 0..n-1 is its adjacency rows: bit v of ``adj[u]`` is
+# set when the ordered pair (u, v) is present.  Ordered pairs occupy slots
+# ``s = u * n + v``; ``p1[s]`` holds one bit per slot and ``p2[s]`` one bit
+# per vertex, for every slot s (zero where the pair is absent).
 
 
-def _seed_matrices(P: Pdag):
-    """Length-three path seeds: (u, v, w) with u, w non-adjacent."""
-    edges = _ordered_edge_list(P)
-    eidx = {e: i for i, e in enumerate(edges)}
-    adj = P.adjacency
-    us, vs = np.nonzero(adj)  # the order of ``edges``
-    # p2[i, w]: edge i = (u, v) continues to some w != u not adjacent to u
-    p2 = adj[vs] & ~(adj | adj.T)[us]
-    p2[np.arange(len(us)), us] = False
-    # p1[i, j]: edge j = (v, w) is such a continuation of edge i
-    p1 = p2[:, vs] & (vs[:, None] == us[None, :])
-    return edges, eidx, p1, p2
+def _seed_matrices(n: int, adj: list[int], skel: list[int]):
+    """Length-three path seeds (u, v, w) with u, w non-adjacent: the present
+    slots in ascending order, and ``p1``, ``p2`` over all ``n * n`` slots."""
+    slots = []
+    p1 = [0] * (n * n)
+    p2 = [0] * (n * n)
+    for u in range(n):
+        row = adj[u]
+        block = skel[u] | 1 << u
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            s = u * n + v
+            slots.append(s)
+            # continuations w of (u, v); the pairs (v, w) sit at v * n + w
+            p2[s] = hits = adj[v] & ~block
+            p1[s] = hits << n * v
+    return slots, p1, p2
 
 
-def _close_p1(p1: np.ndarray) -> np.ndarray:
-    """Transitive closure, diagonal kept clear."""
-    while True:
-        nxt = p1 | (p1 @ p1)
-        if np.array_equal(nxt, p1):
-            return nxt & ~np.eye(len(nxt), dtype=bool)
-        p1 = nxt
+def _close_p1(p1: list[int], slots) -> bool:
+    """Transitive closure in place (Warshall over the slots), diagonal kept
+    clear.  The input has no diagonal bit (neither seeds nor imported
+    entries do), so it returns True exactly when two distinct edges reach
+    each other: when a diagonal bit had to be cleared."""
+    live = [s for s in slots if p1[s]]  # a row empty now stays empty
+    for k in live:
+        rk = p1[k]
+        bit = 1 << k
+        for i in live:
+            if p1[i] & bit:
+                p1[i] |= rk
+    cyclic = False
+    for s in live:
+        if p1[s] >> s & 1:
+            p1[s] ^= 1 << s
+            cyclic = True
+    return cyclic
 
 
-def _close_p2(p1_closed: np.ndarray, p2: np.ndarray, edges, vindex) -> np.ndarray:
-    """One composition step suffices once p1 is transitively closed."""
-    out = p2 | (p1_closed @ p2)
-    out[np.arange(len(edges)), [vindex[v] for _, v in edges]] = False
+def _close_p2(p1_closed: list[int], p2: list[int], slots, n: int) -> list[int]:
+    """One composition step suffices once p1 is transitively closed; the
+    head of each edge is cleared from its row."""
+    out = p2[:]
+    for s in slots:
+        row = p1_closed[s]
+        acc = p2[s]
+        while row:
+            low = row & -row
+            row ^= low
+            acc |= p2[low.bit_length() - 1]
+        out[s] = acc & ~(1 << s % n)
     return out
 
 
-def _matrices_to_table(P: Pdag, edges, p1: np.ndarray, p2: np.ndarray) -> TfpTable:
-    labels = P.vertices
-    pairs = frozenset(
-        (edges[i], edges[j]) for i, j in zip(*np.nonzero(p1))
-    )
-    hits = frozenset(
-        (edges[i], labels[j]) for i, j in zip(*np.nonzero(p2))
-    )
+def _closed_rows(n: int, adj: list[int], skel: list[int]):
+    """Seeds closed: ``(slots, p1, p2, cyclic)``, see :func:`_close_p1`."""
+    slots, p1, p2 = _seed_matrices(n, adj, skel)
+    cyclic = _close_p1(p1, slots)
+    return slots, p1, _close_p2(p1, p2, slots, n), cyclic
+
+
+def _matrices_to_table(labels, slots, p1, p2) -> TfpTable:
+    """The table whose rows ``p1[t]``, ``p2[t]`` belong to ``slots[t]``."""
+    n = len(labels)
+
+    def edge(s):
+        return labels[s // n], labels[s % n]
+
+    pairs = frozenset((edge(s), edge(f)) for s, row in zip(slots, p1) if row for f in _bits(row))
+    hits = frozenset((edge(s), labels[w]) for s, row in zip(slots, p2) if row for w in _bits(row))
     return TfpTable(p1=pairs, p2=hits)
+
+
+def _bits(x: int):
+    """Positions of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
+
+
+def _adjacency_rows(P: Pdag) -> list[int]:
+    packed = np.packbits(P.adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @lru_cache(maxsize=4096)
@@ -125,11 +176,10 @@ def tfp_table(P: Pdag) -> TfpTable:
             "reachability closure requires a chain graph with chordal "
             "undirected components"
         )
-    edges, _, p1, p2 = _seed_matrices(P)
-    p1c = _close_p1(p1)
-    vindex = P._index
-    p2c = _close_p2(p1c, p2, edges, vindex)
-    return _matrices_to_table(P, edges, p1c, p2c)
+    slots, p1, p2, _ = _closed_rows(P.n, _adjacency_rows(P), _adjacency_rows(P.skeleton()))
+    return _matrices_to_table(
+        P.vertices, slots, [p1[s] for s in slots], [p2[s] for s in slots]
+    )
 
 
 def tfp_exists(P: Pdag, from_edge: Edge, to) -> bool:

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from meccount import UndirectedGraph, Pdag, count_mecs
-from meccount.mecrules import is_chain_graph
+from meccount import Pdag, ShadowTable, UndirectedGraph, count_mecs
+from meccount.extension import _derived_table, extensions
+from meccount.mecrules import _pdag_from_code, is_chain_graph
 
 settings.register_profile(
     "suite",
@@ -97,3 +98,30 @@ def random_chain_chordal(rng: random.Random, max_edges: int = 12) -> Pdag:
             for c in P.undirected_components()
         ):
             return P
+
+
+def decoded_extensions(ctx, candidates, sh1s, sh2s):
+    """``extensions`` run on tables of the given distinct shadows, with its
+    rows decoded: ``(O, i, j, table)``, ``i`` and ``j`` indices into
+    ``sh1s`` and ``sh2s``."""
+    F1 = ShadowTable(ctx.b1_graph)
+    for sh in sh1s:
+        F1.add(sh, 1)
+    F2 = ShadowTable(ctx.b2_graph)
+    for sh in sh2s:
+        F2.add(sh, 1)
+    for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2):
+        O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
+        yield O, i, j, _derived_table(ctx, p1, p2)
+
+
+def ladder(k):
+    """The 2 x k ladder."""
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return UndirectedGraph(edges=edges + [(i, k + i) for i in range(k)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return UndirectedGraph(edges=edges)

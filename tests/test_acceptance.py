@@ -28,12 +28,12 @@ from meccount import (
     v_structures,
     verify_merge,
 )
-from meccount.extension import DecompositionContext, extensions
+from meccount.extension import DecompositionContext
 from meccount.shadow import partial_mec_codes
 from meccount.treedecomp import cut_last_child, tree_decomposition, validate_td
 
 import oracles
-from conftest import connected_graphs, random_connected_graph, random_chain_chordal
+from conftest import connected_graphs, decoded_extensions, random_connected_graph, random_chain_chordal
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +187,7 @@ def glue_report(suite2, suite3):
             sh2s = list(side2)
             tables = {
                 (O, sh1s[i], sh2s[j]): table
-                for O, i, j, table in extensions(ctx, rows, sh1s, sh2s)
+                for O, i, j, table in decoded_extensions(ctx, rows, sh1s, sh2s)
             }
             # ground truth per class of the glued graph
             realized: dict = {}

@@ -21,12 +21,26 @@ from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import TreeDecomposition, tree_decomposition
 
 import oracles
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, grid, ladder, random_connected_graph
 
 FIG1 = UndirectedGraph(edges=[("A", "B"), ("A", "C")])
 K2 = UndirectedGraph(edges=[("a", "b")])
 P3 = UndirectedGraph(edges=[("a", "b"), ("b", "c")])
 P4 = UndirectedGraph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+
+
+def _subtree(td, b):
+    """The decomposition's subtree below bag ``b``, rooted at ``b``."""
+    keep, stack = set(), [b]
+    while stack:
+        i = stack.pop()
+        keep.add(i)
+        stack.extend(td.children(i))
+    return TreeDecomposition(
+        bags={i: td.bags[i] for i in keep},
+        tree_edges=frozenset(e for e in td.tree_edges if set(e) <= keep),
+        root=b,
+    )
 
 
 class TestShadowTable:
@@ -108,19 +122,24 @@ class TestCountRec:
         assert F.total() == brute_count_mecs(P4) == oracles.count_mecs_by_dags(P4)
 
     def test_table_entries_count_classes_by_boundary_shadow(self):
+        # every bag is the root of its subtree once, so every fold step's
+        # table is checked, not just the root's
         rng = random.Random(61)
         from meccount import enumerate_mecs
 
-        for _ in range(8):
-            G = random_connected_graph(rng, rng.randint(3, 6))
+        graphs = [random_connected_graph(rng, rng.randint(3, 6)) for _ in range(8)]
+        for G in graphs + [ladder(4), grid(3, 3)]:
             td = tree_decomposition(G)
-            F = count_rec(G, td, td.root)
-            boundary = frozenset(G.closed_neighborhood(td.bags[td.root]))
-            buckets = {}
-            for M in enumerate_mecs(G):
-                s = shadow_of_mec(M, boundary)
-                buckets[s] = buckets.get(s, 0) + 1
-            assert dict(F.items()) == buckets
+            for b in td.preorder:
+                sub = _subtree(td, b)
+                g = G.induced_subgraph(sub.vertices())
+                F = count_rec(g, sub, b)
+                boundary = frozenset(g.closed_neighborhood(td.bags[b]))
+                buckets = {}
+                for M in enumerate_mecs(g):
+                    s = shadow_of_mec(M, boundary)
+                    buckets[s] = buckets.get(s, 0) + 1
+                assert dict(F.items()) == buckets
 
     def test_table_mass_at_every_recursion_level(self):
         from meccount.treedecomp import cut_last_child

@@ -7,6 +7,7 @@ from meccount import (
     Pdag,
     PreconditionError,
     Shadow,
+    ShadowTable,
     TfpTable,
     UndirectedGraph,
     dpf,
@@ -20,20 +21,22 @@ from meccount import (
 )
 from meccount.extension import (
     DecompositionContext,
+    _BoundaryClosure,
+    _ShadowProfile,
     _Side,
+    _combine,
     _sub_pdag_from_signature,
     boundary_signature,
     candidate_of,
-    extensions,
     protected_edges,
 )
 from meccount.graph import label_key
 from meccount.mecrules import VStructure, _pdag_from_code, v_structures
 from meccount.shadow import partial_mec_codes
-from meccount.tfp import EMPTY_TABLE
+from meccount.tfp import EMPTY_TABLE, _adjacency_rows, _close_p1, _close_p2, _seed_matrices
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
-from conftest import random_connected_graph
+from conftest import decoded_extensions, grid, ladder, random_chain_chordal, random_connected_graph
 
 
 def pdag(und=(), dire=(), verts=()):
@@ -215,21 +218,10 @@ class TestGroundTruth:
                 # the memoized many-shadow path the engine runs
                 yielded = set()
                 candidates = partial_mec_codes(ctx.a_graph)
-                for O, i, j, table in extensions(ctx, candidates, sh1s, sh2s):
+                for O, i, j, table in decoded_extensions(ctx, candidates, sh1s, sh2s):
                     assert table == dpf(ctx, O, sh1s[i], sh2s[j])
                     yielded.add((O, sh1s[i], sh2s[j]))
                 assert yielded == realized
-
-
-def _ladder(k):
-    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
-    return UndirectedGraph(edges=edges + [(i, k + i) for i in range(k)])
-
-
-def _grid(rows, cols):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return UndirectedGraph(edges=edges)
 
 
 def _colliders_of_mask(side, mask):
@@ -251,12 +243,13 @@ def _colliders_of_mask(side, mask):
 class TestIntegerSidePieces:
     def test_signatures_decode_to_what_the_boundary_shows(self):
         rng = random.Random(42)
-        graphs = [_ladder(3), _ladder(4), _grid(3, 3)]
+        graphs = [ladder(3), ladder(4), grid(3, 3)]
         for _ in range(2):
             graphs.append(random_connected_graph(rng, 8, max_degree=3, extra=3))
         for G in graphs:
             for g, ctx in _contexts_of(G):
-                sides = {s: _Side(ctx, s, []) for s in (1, 2)}
+                sides = {s: _Side(ctx, s, ShadowTable(ctx.side_graph(s))) for s in (1, 2)}
+                subs = {1: {}, 2: {}}
                 for code, prot in partial_mec_codes(ctx.a_graph):
                     O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
                     assert candidate_of(ctx, O) == (code, prot)
@@ -271,9 +264,139 @@ class TestIntegerSidePieces:
                             assert sub.has_directed(u, v) == O.has_directed(u, v)
                             assert sub.has_directed(v, u) == O.has_directed(v, u)
                         verts = ctx.side_vertices(s)
-                        assert side.protected(sig) == {
+                        assert _protected_of(side, sig) == {
                             e for e in protected if e[0] in verts and e[1] in verts
                         }
-                        assert side.code_of(sub) == sig & side.tmask
                         mask = side.colliders(sig)
                         assert _colliders_of_mask(side, mask) == v_structures(sub)
+                        subs[s][sub] = mask
+                # a shadow on ``sub`` lands in the bucket of the collider
+                # set the signature shows, read from its key in the table
+                for s, seen in subs.items():
+                    F = ShadowTable(ctx.side_graph(s))
+                    for sub in seen:
+                        F.add(Shadow(sub, EMPTY_TABLE), 1)
+                    side = _Side(ctx, s, F)
+                    shadows = list(F)
+                    for mask, idxs in side.buckets.items():
+                        for i in idxs:
+                            assert seen[shadows[i].o] == mask
+
+
+def _protected_of(side, sig):
+    # the protected directed edges a signature records, as label pairs
+    return {
+        (u, v) if (sig >> 2 * j) & 3 == 1 else (v, u)
+        for j, (u, v) in zip(side.pos, side.edges)
+        if (sig >> side.shift + j) & 1
+    }
+
+
+# -- the closure on integer rows ---------------------------------------------
+
+
+def _pairs_of(rows, slots):
+    return {(s, b) for s in slots for b in range(rows[s].bit_length()) if rows[s] >> b & 1}
+
+
+def _closure_reference(p1, p2, n):
+    """Set-based closure of slot pairs ``p1`` and slot-vertex pairs ``p2``:
+    ``p1`` closed transitively without its diagonal, ``p2`` composed with
+    it without edge heads, and whether two distinct edges reach each other
+    (``(p1 & p1.T).any()`` on the matrix form)."""
+    rel = set(p1)
+    changed = True
+    while changed:
+        changed = False
+        for e, f in list(rel):
+            for g, h in list(rel):
+                if f == g and (e, h) not in rel:
+                    rel.add((e, h))
+                    changed = True
+    rel = {(e, f) for e, f in rel if e != f}
+    cyclic = any((f, e) in rel for e, f in rel)
+    hits = set(p2) | {(e, w) for e, f in rel for g, w in p2 if g == f}
+    return rel, {(e, w) for e, w in hits if w != e % n}, cyclic
+
+
+def _random_entries(rng, n, slots, dense):
+    """Rows over all ``n * n`` slots: p1 bits on other slots, p2 bits on
+    vertices other than the row's head; ``dense`` of the candidates set."""
+    p1, p2 = [0] * (n * n), [0] * (n * n)
+    for s in slots:
+        for f in range(n * n):
+            if f != s and f // n != f % n and rng.random() < dense:
+                p1[s] |= 1 << f
+        for w in range(n):
+            if w != s % n and rng.random() < dense:
+                p2[s] |= 1 << w
+    return p1, p2
+
+
+def _profile(p1, p2):
+    return _ShadowProfile([], [], {s: r for s, r in enumerate(p1) if r}, {s: r for s, r in enumerate(p2) if r})
+
+
+def _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng):
+    """Close ``seed``, import ``extra`` split over two profiles, and compare
+    with closing the union (restricted to ``slots``) from scratch."""
+    present = set(slots)
+    closed = seed1[:]
+    cyclic = _close_p1(closed, slots)
+    base = _BoundaryClosure(n, slots, closed, _close_p2(closed, seed2, slots, n), cyclic)
+    ref1, ref2, ref_cyclic = _closure_reference(
+        _pairs_of(seed1, slots), _pairs_of(seed2, slots), n
+    )
+    assert (_pairs_of(base.p1, slots), _pairs_of(base.p2, slots), base.cyclic) == (
+        ref1, ref2, ref_cyclic
+    )
+    halves = [([0] * (n * n), [0] * (n * n)) for _ in range(2)]
+    for rows, k in ((extra1, 0), (extra2, 1)):
+        for s, row in enumerate(rows):
+            for b in range(row.bit_length()):
+                if row >> b & 1:
+                    halves[rng.randrange(2)][k][s] |= 1 << b
+    p1, p2, cyclic = _combine(base, _profile(*halves[0]), _profile(*halves[1]))
+    union1 = _pairs_of(seed1, slots) | {
+        (e, f) for e, f in _pairs_of(extra1, range(n * n)) if e in present and f in present
+    }
+    union2 = _pairs_of(seed2, slots) | {
+        (e, w) for e, w in _pairs_of(extra2, range(n * n)) if e in present
+    }
+    ref1, ref2, ref_cyclic = _closure_reference(union1, union2, n)
+    assert _pairs_of(p1, slots) == ref1
+    assert _pairs_of(p2, slots) == ref2
+    assert cyclic == ref_cyclic
+    # rows of absent slots stay empty
+    assert not any(p1[s] or p2[s] for s in range(n * n) if s not in present)
+    return ref_cyclic
+
+
+class TestIntegerClosure:
+    def test_random_relations(self):
+        rng = random.Random(71)
+        cyclic = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            slots = [s for s in range(n * n) if s // n != s % n and rng.random() < 0.5]
+            seed1, seed2 = _random_entries(rng, n, slots, rng.choice((0.0, 0.05, 0.15)))
+            seed1 = [row & sum(1 << s for s in slots) for row in seed1]
+            extra1, extra2 = _random_entries(rng, n, range(n * n), rng.choice((0.0, 0.05, 0.1)))
+            extra1 = [0 if s // n == s % n else row for s, row in enumerate(extra1)]
+            extra2 = [0 if s // n == s % n else row for s, row in enumerate(extra2)]
+            cyclic += _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng)
+        assert 0 < cyclic < 150
+
+    def test_mec_seeds_with_imported_entries(self):
+        rng = random.Random(72)
+        checked = 0
+        for _ in range(30):
+            U = random_chain_chordal(rng, max_edges=8).skeleton()
+            for M in enumerate_mecs(U):
+                n = M.n
+                slots, seed1, seed2 = _seed_matrices(n, _adjacency_rows(M), _adjacency_rows(U))
+                assert slots == [s for s in range(n * n) if M.adjacency[s // n, s % n]]
+                extra1, extra2 = _random_entries(rng, n, slots, rng.choice((0.0, 0.05, 0.2)))
+                _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng)
+                checked += 1
+        assert checked > 50
