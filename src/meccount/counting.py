@@ -63,6 +63,12 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
     the preorder position of the first bag holding each vertex: by running
     intersection, a vertex outside a subtree's top bag lies in that subtree
     exactly when its first bag does.
+
+    Paths, cycles and trees repeat the same local structure bag after bag,
+    so the count memoises what depends on structure alone: a leaf table by
+    its bag graph's vertex count and edges, a cut's glue plan by the key
+    :func:`_combine_tables` files it under.  The memo is dropped when the
+    count returns.
     """
     order = td.preorder
     pos = {i: k for k, i in enumerate(order)}
@@ -76,9 +82,15 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
         nbrs[v].add(u)
     end: dict[int, int] = {}  # one past the last preorder position of a subtree
     tables: dict[int, ShadowTable] = {}
+    leaves: dict = {}  # leaf entries by the bag graph's index structure
+    plans: dict = {}  # glue plans by what the glue reads (see _combine_tables)
     for r in reversed(order):
         s1 = td.bags[r]
-        F = brute_force_count(G.induced_subgraph(s1), max_edges=orientation_cap)
+        F = ShadowTable(G.induced_subgraph(s1))
+        shape = (F.frame.n, tuple(F.pairs))
+        if shape not in leaves:
+            leaves[shape] = brute_force_count(F.domain, max_edges=orientation_cap).entries
+        F.entries = dict(leaves[shape])
         kids = td.children(r)
         for c in kids:
             s2 = td.bags[c]
@@ -86,26 +98,62 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
             h1 = {v for v in near if v in s1 or pos[r] < first[v] < pos[c]}
             h2 = {v for v in near if v in s2 or pos[c] <= first[v] < end[c]}
             ctx = DecompositionContext(h=G.induced_subgraph(h1 | h2), h1=h1, h2=h2, s1=s1, s2=s2)
-            F = _combine_tables(ctx, F, tables.pop(c), mark_cap)
+            F = _combine_tables(ctx, F, tables.pop(c), mark_cap, plans)
         end[r] = end[kids[-1]] if kids else pos[r] + 1
         tables[r] = F
     return tables[td.root]
 
 
-def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap) -> ShadowTable:
+def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap, plans: dict) -> ShadowTable:
     """The classes of the two sides glued over every boundary candidate,
     grouped by their shadow on ``x' = N[s1]``: the glued rows live on the
-    a-graph, which holds ``x'``, so the table keeps the a-graph as frame."""
-    x_prime = ctx.h.closed_neighborhood(ctx.s1)
-    F = ShadowTable(ctx.h.induced_subgraph(x_prime), ctx.a_graph)
+    a-graph, which holds ``x'``, so the table keeps the a-graph as frame.
+
+    The glue is a plan: one ``(out_key, i, j)`` per extension of the
+    ``i``-th shadow of ``F1`` and the ``j``-th of ``F2`` (in entry order),
+    applied to the two sides' counts.  The plan is a function of its key in
+    ``plans``, which holds everything the glue reads, in a-graph index
+    terms: the a-graph's skeleton, where ``x'`` sits in it, and per side
+    (see :func:`_side_key`) the frame, where the domain sits in the a-graph
+    and the table's keys in order.  A cut with an earlier cut's key replays
+    that cut's plan.  The key holds the parts themselves, never a digest of
+    them: a collision would miscount.
+    """
+    a = ctx.a_graph
+    F = ShadowTable(a.induced_subgraph(ctx.x_prime), a)
     if not F1 or not F2:
         return F
+    key = (
+        a.n,
+        tuple(ctx.a_pairs),
+        tuple(a._index[v] for v in F.domain.vertices),
+        _side_key(F1, a),
+        _side_key(F2, a),
+    )
+    plan = plans.get(key)
+    if plan is None:
+        candidates = partial_mec_codes(a, max_edges=mark_cap)
+        plan = plans[key] = [
+            (F._key(code, p1, p2), i, j)
+            for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2)
+        ]
     counts1 = list(F1.entries.values())
     counts2 = list(F2.entries.values())
-    candidates = partial_mec_codes(ctx.a_graph, max_edges=mark_cap)
-    for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2):
-        F.add_rows(code, p1, p2, counts1[i] * counts2[j])
+    entries = F.entries
+    for out, i, j in plan:
+        entries[out] = entries.get(out, 0) + counts1[i] * counts2[j]
     return F
+
+
+def _side_key(F: ShadowTable, a) -> tuple:
+    """What the glue reads of a side table, in a-graph index terms."""
+    fi = F.frame._index
+    return (
+        F.frame.n,
+        tuple(F.edges),
+        tuple((fi[v], a._index[v]) for v in F.domain.vertices),
+        tuple(F.entries),
+    )
 
 
 def count_mecs(

@@ -13,6 +13,8 @@ counting engine, :func:`is_extension` and the tests all go through it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import GraphInputError, PreconditionError
@@ -37,7 +39,8 @@ class DecompositionContext:
     union covers every edge; ``i = h1 & h2`` separates the rest.  ``s1`` and
     ``s2`` are bag vertex sets with ``s1 & s2 == i``.  The derived boundary
     graphs: ``a_graph`` around ``s1 | s2`` inside the whole host, ``b1`` and
-    ``b2`` around each bag inside its half.
+    ``b2`` around each bag inside its half; ``x_prime``, the vertices around
+    ``s1`` inside the whole host, is the domain the glued table keeps.
     """
 
     def __init__(self, h: UndirectedGraph, h1, h2, s1, s2):
@@ -60,18 +63,29 @@ class DecompositionContext:
             raise PreconditionError("bag sets must lie inside their halves")
         if self.s1 & self.s2 != self.i:
             raise PreconditionError("bag intersection must equal the separator")
-        self.half1 = h.induced_subgraph(self.h1)
-        self.half2 = h.induced_subgraph(self.h2)
-        self.boundary_vertices = frozenset(h.closed_neighborhood(self.s1 | self.s2))
+        # no edge from a bag leaves its half, so the bag's closed
+        # neighborhood inside its half is the host's cut down to the half,
+        # and the a-graph holds it
+        self.x_prime = h.closed_neighborhood(self.s1)
+        x2 = h.closed_neighborhood(self.s2)
+        self.boundary_vertices = self.x_prime | x2
         self.a_graph = h.induced_subgraph(self.boundary_vertices)
-        self.b1_vertices = frozenset(self.half1.closed_neighborhood(self.s1))
-        self.b2_vertices = frozenset(self.half2.closed_neighborhood(self.s2))
-        self.b1_graph = self.half1.induced_subgraph(self.b1_vertices)
-        self.b2_graph = self.half2.induced_subgraph(self.b2_vertices)
+        self.b1_vertices = self.x_prime & self.h1
+        self.b2_vertices = x2 & self.h2
+        self.b1_graph = self.a_graph.induced_subgraph(self.b1_vertices)
+        self.b2_graph = self.a_graph.induced_subgraph(self.b2_vertices)
         # the a-graph's skeleton edges as index pairs, in the order the
         # candidates' trit codes use
         self.a_pairs = _skeleton_pairs(self.a_graph)
         self.a_skel = _code_rows(self.a_graph.n, self.a_pairs, 0)
+
+    @cached_property
+    def half1(self) -> UndirectedGraph:
+        return self.h.induced_subgraph(self.h1)
+
+    @cached_property
+    def half2(self) -> UndirectedGraph:
+        return self.h.induced_subgraph(self.h2)
 
     def side_graph(self, side: int) -> Pdag:
         return self.b1_graph if side == 1 else self.b2_graph

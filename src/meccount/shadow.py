@@ -75,9 +75,9 @@ class ShadowTable:
     marks as trits at the frame's skeleton-edge positions ``pairs`` (see
     ``mecrules._code_rows``), and ``p1[t]``, ``p2[t]`` are the path-table
     rows of the domain's ordered pair ``slots[t]``, as bits over the frame's
-    ordered-pair slots and vertices (see ``tfp``).  The counting engine adds
-    classes as codes and rows; shadows are encoded and decoded only where
-    this class takes or hands them out.
+    ordered-pair slots and vertices (see ``tfp``).  The counting engine
+    files classes under the keys of their codes and rows; shadows are
+    encoded and decoded only where this class takes or hands them out.
     """
 
     def __init__(self, domain: Pdag, frame: Pdag | None = None):
@@ -108,19 +108,13 @@ class ShadowTable:
             tuple([p2[s] & vmask for s in self.slots]),
         )
 
-    def add_rows(self, code: int, p1, p2, k: int) -> None:
-        """Count ``k`` more classes of a graph on the frame with trit
-        ``code`` and path rows ``p1``, ``p2``, by their shadow on the
-        domain."""
-        key = self._key(code, p1, p2)
-        self.entries[key] = self.entries.get(key, 0) + k
-
     def add_class(self, code: int, k: int = 1) -> None:
         """Count ``k`` more classes whose graph is the whole frame marked by
         ``code``, with its own path table."""
         n, pairs = self.frame.n, self.pairs
         _, p1, p2, _ = _closed_rows(n, _code_rows(n, pairs, code), _code_rows(n, pairs, 0))
-        self.add_rows(code, p1, p2, k)
+        key = self._key(code, p1, p2)
+        self.entries[key] = self.entries.get(key, 0) + k
 
     @cached_property
     def _skeleton(self):

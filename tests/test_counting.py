@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +17,16 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
+from meccount import counting
 from meccount.counting import AUTO_BRUTE_EDGE_THRESHOLD
 from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import TreeDecomposition, tree_decomposition
 
 import oracles
 from conftest import connected_graphs, grid, ladder, random_connected_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the closed forms and the tree count)
 
 FIG1 = UndirectedGraph(edges=[("A", "B"), ("A", "C")])
 K2 = UndirectedGraph(edges=[("a", "b")])
@@ -128,6 +133,14 @@ class TestCountRec:
         from meccount import enumerate_mecs
 
         graphs = [random_connected_graph(rng, rng.randint(3, 6)) for _ in range(8)]
+        # relabelled graphs whose cuts almost repeat one another, so one
+        # count both replays glue plans and must tell near misses apart
+        caterpillar = [(i, i + 1) for i in range(5)] + [(0, 6), (1, 7), (1, 8), (3, 9), (4, 10)]
+        pendant_cycle = [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (2, 8), (3, 9), (9, 10)]
+        for edges in (caterpillar, pendant_cycle):
+            labels = list(range(11))
+            rng.shuffle(labels)
+            graphs.append(UndirectedGraph(edges=[(labels[u], labels[v]) for u, v in edges]))
         for G in graphs + [ladder(4), grid(3, 3)]:
             td = tree_decomposition(G)
             for b in td.preorder:
@@ -248,3 +261,53 @@ class TestCyclesWithPendants:
                 vertices=labels, edges=[(labels[u], labels[v]) for u, v in edges]
             )
             assert count_mecs(G, "fpt") == brute_count_mecs(G), G.edges
+
+
+def _rotated(n, edges, rng):
+    """``edges`` on ``0..n-1`` relabelled ``v -> (r + s * v) mod n`` by a
+    seeded rotation and reflection."""
+    r, s = rng.randrange(n), rng.choice((1, -1))
+    return UndirectedGraph(
+        vertices=range(n), edges=[((r + s * u) % n, (r + s * v) % n) for u, v in edges]
+    )
+
+
+class TestClosedFormsAtScale:
+    # hundreds of bags per count, most of whose cuts repeat an earlier cut
+    def test_paths_count_fibonacci(self):
+        rng = random.Random(71)
+        for n in (150, 320):
+            G = _rotated(n, workloads.path_edges(n), rng)
+            assert count_mecs(G) == workloads.fibonacci(n)
+
+    def test_cycles_count_lucas_minus_one(self):
+        rng = random.Random(72)
+        for n in (120, 250):
+            G = _rotated(n, workloads.cycle_edges(n), rng)
+            assert count_mecs(G) == workloads.lucas(n) - 1
+
+    def test_degree_three_trees_match_the_tree_count(self):
+        rng = random.Random(78)
+        for n in (100, 160, 200):
+            edges = workloads.random_tree_edges(n, 3, rng)
+            assert count_mecs(_rotated(n, edges, rng)) == workloads.tree_count(edges, n)
+
+    def test_longer_path_enumerates_no_more_boundaries(self, monkeypatch):
+        # a cut that repeats an earlier one replays its glue plan instead of
+        # enumerating the boundary candidates again
+        calls = []
+        real = counting.partial_mec_codes
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "partial_mec_codes", counted)
+
+        def enumerations(n):
+            calls.clear()
+            G = _rotated(n, workloads.path_edges(n), random.Random(74))
+            assert count_mecs(G) == workloads.fibonacci(n)
+            return len(calls)
+
+        assert 0 < enumerations(400) <= enumerations(100)
