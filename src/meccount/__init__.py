@@ -1,6 +1,6 @@
 """Counting Markov equivalence classes over a fixed skeleton."""
 
-from ._kernels import current_backend, set_backend
+from ._kernels import current_backend
 from .constructmec import VertexOrdering, construct_mec, lbfs_with_o, verify_merge
 from .counting import ShadowTable, brute_force_count, count_mecs, count_rec
 from .errors import (
@@ -69,7 +69,6 @@ __all__ = [
     "markov_union",
     "project_mec",
     "project_shadow",
-    "set_backend",
     "shadow_key",
     "shadow_of_mec",
     "tfp_exists",

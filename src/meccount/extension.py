@@ -264,7 +264,7 @@ class _Side:
         # read at a-graph positions in signatures, at frame positions in keys
         self.sel, self.want = [], []
         fsel, fwant = [], []
-        for a, wa, c, wc in zip(*(x.tolist() for x in _collider_triples(g.n, self.pairs, skel))):
+        for a, wa, c, wc in zip(*_collider_triples(g.n, self.pairs, skel)):
             for sel, want, ja, jc in (
                 (self.sel, self.want, 2 * self.pos[a], 2 * self.pos[c]),
                 (fsel, fwant, 2 * found[a][1], 2 * found[c][1]),

@@ -181,17 +181,16 @@ def _skeleton_pairs(g: Pdag) -> list[tuple[int, int]]:
 
 
 def _encode(g: Pdag):
-    """Kernel encoding of a skeleton: index arrays and bitmask rows."""
+    """Kernel encoding of a skeleton: index lists and bitmask rows."""
     n = g.n
     pairs = _skeleton_pairs(g)
-    m = len(pairs)
-    _kernels.check_bitset_capacity(n, m)
-    eu = np.array([p[0] for p in pairs], dtype=np.int64)
-    ev = np.array([p[1] for p in pairs], dtype=np.int64)
-    skel = np.zeros(n, dtype=np.int64)
+    _kernels.check_bitset_capacity(n, len(pairs))
+    eu = [i for i, _ in pairs]
+    ev = [j for _, j in pairs]
+    skel = [0] * n
     for i, j in pairs:
-        skel[i] |= np.int64(1) << j
-        skel[j] |= np.int64(1) << i
+        skel[i] |= 1 << j
+        skel[j] |= 1 << i
     return n, eu, ev, skel, pairs
 
 
@@ -215,12 +214,7 @@ def _collider_triples(n, pairs, skel):
                 w1.append(1 if (a, b) == pairs[j1] else 0)
                 e2.append(j2)
                 w2.append(1 if (c, b) == pairs[j2] else 0)
-    return (
-        np.array(e1, dtype=np.int64),
-        np.array(w1, dtype=np.int64),
-        np.array(e2, dtype=np.int64),
-        np.array(w2, dtype=np.int64),
-    )
+    return e1, w1, e2, w2
 
 
 def _check_edge_cap(m: int, max_edges: int, sweep: str) -> None:
@@ -296,11 +290,11 @@ def enumerate_acyclic_orientations(
     full = (1 << m) - 1
     for lo in range(0, 1 << m, _CHUNK):
         hi = min(lo + _CHUNK, 1 << m)
-        for mask in _kernels.acyclic_masks(n, eu, ev, lo, hi).tolist():
+        for mask in _kernels.acyclic_masks(n, eu, ev, lo, hi):
             yield _pdag_from_code(U, pairs, _code_of_masks(mask, full ^ mask))
 
 
-def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]]:
+def _orientation_classes(U: Pdag, max_edges: int) -> dict[int, tuple[int, int]]:
     """Group acyclic orientations by collider fingerprint.
 
     Returns ``fingerprint -> (fwd_seen, rev_seen)`` where the two masks
@@ -310,31 +304,16 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[bytes, tuple[int, int]
     m = len(pairs)
     _check_edge_cap(m, max_edges, "orientation")
     e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
-    nwords = max(1, (len(e1) + 63) // 64)
     full = (1 << m) - 1
-    classes: dict[bytes, tuple[int, int]] = {}
+    fwds: dict[int, int] = {}
+    revs: dict[int, int] = {}
     for lo in range(0, 1 << m, _CHUNK):
         hi = min(lo + _CHUNK, 1 << m)
         masks = _kernels.acyclic_masks(n, eu, ev, lo, hi)
-        if len(masks) == 0:
-            continue
-        words = _kernels.collider_words(masks, e1, w1, e2, w2, nwords)
-        uniq, inverse, sizes = np.unique(words, axis=0, return_inverse=True, return_counts=True)
-        # one stable sort puts each class's masks in one run, in uniq order
-        grouped = masks[np.argsort(inverse.reshape(-1), kind="stable")]
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        fwds = np.bitwise_or.reduceat(grouped, starts).tolist()
-        revs = np.bitwise_or.reduceat(~grouped, starts).tolist()
-        for g in range(uniq.shape[0]):
-            fwd = fwds[g]
-            rev = revs[g] & full
-            key = uniq[g].tobytes()
-            if key in classes:
-                f0, r0 = classes[key]
-                classes[key] = (f0 | fwd, r0 | rev)
-            else:
-                classes[key] = (fwd, rev)
-    return classes
+        for mask, key in zip(masks, _kernels.collider_words(masks, e1, w1, e2, w2)):
+            fwds[key] = fwds.get(key, 0) | mask
+            revs[key] = revs.get(key, 0) | (full ^ mask)
+    return {key: (fwd, revs[key]) for key, fwd in fwds.items()}
 
 
 def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[Pdag]:
@@ -370,7 +349,7 @@ def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
     _check_edge_cap(len(pairs), max_edges, "mark")
-    return int(len(_kernels.mark_codes(n, eu, ev, skel, True)))
+    return len(_kernels.mark_codes(n, eu, ev, skel, True))
 
 
 def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
@@ -388,15 +367,11 @@ def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
     U = D.skeleton()
     n, eu, ev, skel, pairs = _encode(U)
     # D's collider fingerprint names its class among all orientations
-    e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
-    nwords = max(1, (len(e1) + 63) // 64)
     dmask = 0
     for j, (i, k) in enumerate(pairs):
         if D.adjacency[i, k]:
             dmask |= 1 << j
-    key = _kernels.collider_words(
-        np.array([dmask], dtype=np.int64), e1, w1, e2, w2, nwords
-    )[0].tobytes()
+    (key,) = _kernels.collider_words([dmask], *_collider_triples(n, pairs, skel))
     fwd, rev = _orientation_classes(U, max_edges)[key]
     M = _pdag_from_code(U, pairs, _code_of_masks(fwd, rev))
     if not is_mec(M):

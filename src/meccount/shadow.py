@@ -193,13 +193,13 @@ def project_shadow(s: Shadow, X) -> Shadow:
 
 
 def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> list:
-    """Every partial MEC with skeleton ``U`` as the kernel gives it: rows
-    ``[code, protected]``, the trit code over ``U.skeleton_edges()`` in
+    """Every partial MEC with skeleton ``U`` as the kernel gives it: pairs
+    ``(code, protected)``, the trit code over ``U.skeleton_edges()`` in
     order and the bitmask of the strongly protected directed edges."""
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
     _check_edge_cap(len(pairs), max_edges, "mark")
-    return _kernels.mark_codes(n, eu, ev, skel, False).tolist()
+    return _kernels.mark_codes(n, eu, ev, skel, False)
 
 
 def enumerate_partial_mecs(

@@ -20,7 +20,7 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # compile/load the enumeration kernels once so timings elsewhere are warm
+    # load the enumeration kernels once so timings elsewhere are warm
     count_mecs(UndirectedGraph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)]), "fpt")
     count_mecs(UndirectedGraph(edges=[(0, 1), (1, 2)]), "brute")
 

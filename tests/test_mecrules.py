@@ -22,7 +22,13 @@ from meccount import (
 )
 from meccount.extension import protected_edges
 from meccount import _kernels, mecrules
-from meccount.mecrules import _collider_triples, _encode, _orientation_classes, dag_member
+from meccount.mecrules import (
+    _code_of_masks,
+    _encode,
+    _orientation_classes,
+    _pdag_from_code,
+    dag_member,
+)
 
 import oracles
 from conftest import connected_graphs, random_connected_graph
@@ -227,8 +233,7 @@ class TestBruteCounts:
             assert brute_count_mecs(G) == brute_count_mecs_andersson(G)
 
     def test_star_k1_12_fills_two_fingerprint_words(self):
-        # 66 potential colliders at the hub: fingerprints take two words
-        # and bit 63 of the first, the int64 sign bit
+        # 66 potential colliders at the hub: a fingerprint wider than 64 bits
         star = UndirectedGraph(edges=[(0, i) for i in range(1, 13)])
         want = 2**12 - 12  # every set of two or more parents of the hub, or none
         assert brute_count_mecs(star) == want
@@ -237,17 +242,16 @@ class TestBruteCounts:
 
     @staticmethod
     def _classes_one_by_one(G):
-        # each acyclic orientation folded into its class on its own
+        # each acyclic orientation folded into the class named by the
+        # v-structures of its decoded DAG, on its own
         n, eu, ev, skel, pairs = _encode(G)
         full = (1 << len(pairs)) - 1
-        e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
-        nwords = max(1, (len(e1) + 63) // 64)
-        masks = _kernels.acyclic_masks(n, eu, ev, 0, 1 << len(pairs))
-        words = _kernels.collider_words(masks, e1, w1, e2, w2, nwords)
         out = {}
-        for mask, row in zip(masks.tolist(), words):
-            fwd, rev = out.get(row.tobytes(), (0, 0))
-            out[row.tobytes()] = (fwd | mask, rev | (full ^ mask))
+        for mask in _kernels.acyclic_masks(n, eu, ev, 0, 1 << len(pairs)):
+            D = _pdag_from_code(G, pairs, _code_of_masks(mask, full ^ mask))
+            key = v_structures(D)
+            fwd, rev = out.get(key, (0, 0))
+            out[key] = (fwd | mask, rev | (full ^ mask))
         return out
 
     @pytest.mark.parametrize("chunk", [None, 5, 64])
@@ -259,7 +263,8 @@ class TestBruteCounts:
             G = random_connected_graph(rng, rng.randint(2, 7))
             if G.edge_count() > 12:
                 continue
-            assert _orientation_classes(G, 24) == self._classes_one_by_one(G)
+            got = sorted(_orientation_classes(G, 24).values())
+            assert got == sorted(self._classes_one_by_one(G).values())
 
     def test_enumerate_mecs_all_pass_filter(self):
         for G in connected_graphs(4):
