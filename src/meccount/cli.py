@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from .counting import AUTO_BRUTE_EDGE_THRESHOLD, count_mecs
+from .counting import count_components, count_mecs
 from .errors import CapacityError, GraphInputError, InternalInvariantError, PreconditionError
 from .graph import UndirectedGraph, label_key
 from .mecrules import enumerate_mecs
@@ -77,25 +77,19 @@ def _heuristic_name(cli_value: str) -> str:
 
 def cmd_count(args) -> int:
     G = _read_graph(args.input)
-    method = args.method
-    if method == "auto":
-        method = "brute" if G.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
-    heuristic = _heuristic_name(args.td)
     t0 = time.perf_counter()
-    count = count_mecs(G, method, heuristic=heuristic)
+    count, runs = count_components(G, args.method, heuristic=_heuristic_name(args.td))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        width = None
-        bags = None
-        if method == "fpt" and G.n > 0:
-            tds = [tree_decomposition(G.induced_subgraph(c), heuristic) for c in G.components()]
-            width = max(td.width for td in tds)
-            bags = sum(len(td.bags) for td in tds)
+        # the routes the components took; the empty graph has none and runs
+        # nothing
+        routes = sorted({route for route, _ in runs})
+        tds = [td for _, td in runs if td is not None]
         payload = {
             "count": count,
-            "method": method,
-            "width": width,
-            "bags": bags,
+            "method": "+".join(routes) or ("brute" if args.method == "auto" else args.method),
+            "width": max(td.width for td in tds) if tds else None,
+            "bags": sum(len(td.bags) for td in tds) if tds else None,
             "wall_time_ms": round(elapsed_ms, 3),
         }
         print(json.dumps(payload, sort_keys=True))

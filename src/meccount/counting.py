@@ -12,10 +12,8 @@ shadow space because zero-count factors contribute nothing to any product.
 
 from __future__ import annotations
 
-import math
-
-from .errors import GraphInputError, PreconditionError
-from .extension import DecompositionContext, extensions
+from .errors import GraphInputError, InternalInvariantError, PreconditionError
+from .extension import DecompositionContext, _check_split, extensions
 from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, mec_codes
 from .shadow import DEFAULT_MARK_ENUM_CAP, ShadowTable, partial_mec_codes
@@ -62,13 +60,17 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
     folded into ``r`` holds, and which ``c``'s subtree holds, follows from
     the preorder position of the first bag holding each vertex: by running
     intersection, a vertex outside a subtree's top bag lies in that subtree
-    exactly when its first bag does.
+    exactly when its first bag does.  Every cut's split is checked on those
+    vertex sets (see :func:`extension._check_split`).
 
     Paths, cycles and trees repeat the same local structure bag after bag,
     so the count memoises what depends on structure alone: a leaf table by
     its bag graph's vertex count and edges, a cut's glue plan by the key
-    :func:`_combine_tables` files it under.  The memo is dropped when the
-    count returns.
+    :func:`_combine_tables` files it under, and the a-graph's boundary
+    candidates by its vertex count and edges.  Bag graphs and a-graphs are
+    read off ``G``'s neighbour sets as sorted labels and index pairs; a
+    ``Pdag`` is built only where a leaf table or a plan is computed.  The
+    memo is dropped when the count returns.
     """
     order = td.preorder
     pos = {i: k for k, i in enumerate(order)}
@@ -80,14 +82,16 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
     for u, v in G.skeleton_edges():
         nbrs[u].add(v)
         nbrs[v].add(u)
+    rank = G._index.__getitem__  # G's labels are sorted
     end: dict[int, int] = {}  # one past the last preorder position of a subtree
     tables: dict[int, ShadowTable] = {}
     leaves: dict = {}  # leaf entries by the bag graph's index structure
-    plans: dict = {}  # glue plans by what the glue reads (see _combine_tables)
+    memo = ({}, {})  # glue plans and boundary candidates (see _combine_tables)
     for r in reversed(order):
         s1 = td.bags[r]
-        F = ShadowTable(G.induced_subgraph(s1))
-        shape = (F.frame.n, tuple(F.pairs))
+        labels, pairs = _induced(s1, nbrs, rank)
+        F = ShadowTable._on_labels(labels, pairs)
+        shape = (len(labels), F.pairs)
         if shape not in leaves:
             leaves[shape] = brute_force_count(F.domain, max_edges=orientation_cap).entries
         F.entries = dict(leaves[shape])
@@ -95,19 +99,37 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
         for c in kids:
             s2 = td.bags[c]
             near = (s1 | s2).union(*(nbrs[v] for v in s1 | s2))
-            h1 = {v for v in near if v in s1 or pos[r] < first[v] < pos[c]}
-            h2 = {v for v in near if v in s2 or pos[c] <= first[v] < end[c]}
-            ctx = DecompositionContext(h=G.induced_subgraph(h1 | h2), h1=h1, h2=h2, s1=s1, s2=s2)
-            F = _combine_tables(ctx, F, tables.pop(c), mark_cap, plans)
+            host = {v for v in near if v in s1 or pos[r] < first[v] < end[c]}
+            h1 = {v for v in host if v in s1 or first[v] < pos[c]}
+            h2 = {v for v in host if v in s2 or first[v] >= pos[c]}
+            _check_split(host, h1, h2, s1, s2, ((u, v) for u in h1 - h2 for v in nbrs[u] & host))
+            x1 = host & s1.union(*(nbrs[v] for v in s1))
+            x2 = host & s2.union(*(nbrs[v] for v in s2))
+            labels, pairs = _induced(x1 | x2, nbrs, rank)
+            x_prime = tuple(k for k, v in enumerate(labels) if v in x1)
+            glued = ShadowTable._on_labels(labels, pairs, x_prime)
+            F = _combine_tables((G, host, h1, h2, s1, s2), glued, F, tables.pop(c), mark_cap, memo)
         end[r] = end[kids[-1]] if kids else pos[r] + 1
         tables[r] = F
     return tables[td.root]
 
 
-def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap, plans: dict) -> ShadowTable:
-    """The classes of the two sides glued over every boundary candidate,
-    grouped by their shadow on ``x' = N[s1]``: the glued rows live on the
-    a-graph, which holds ``x'``, so the table keeps the a-graph as frame.
+def _induced(vs, nbrs, rank) -> tuple:
+    """``G[vs]`` as its sorted labels and its skeleton edges as ascending
+    index pairs."""
+    labels = tuple(sorted(vs, key=rank))
+    at = {v: k for k, v in enumerate(labels)}
+    pairs = sorted(
+        (i, k) for i, u in enumerate(labels) for v in nbrs[u] if (k := at.get(v, -1)) > i
+    )
+    return labels, tuple(pairs)
+
+
+def _combine_tables(split, F: ShadowTable, F1: ShadowTable, F2: ShadowTable, mark_cap, memo):
+    """``F`` after gluing the classes of the two sides over every boundary
+    candidate, grouped by their shadow on ``x' = N[s1]``: ``F`` comes empty,
+    with the cut's a-graph as frame and ``x'`` as domain, since the glued
+    rows live on the a-graph.
 
     The glue is a plan: one ``(out_key, i, j)`` per extension of the
     ``i``-th shadow of ``F1`` and the ``j``-th of ``F2`` (in entry order),
@@ -116,26 +138,31 @@ def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap, plans: dict
     terms: the a-graph's skeleton, where ``x'`` sits in it, and per side
     (see :func:`_side_key`) the frame, where the domain sits in the a-graph
     and the table's keys in order.  A cut with an earlier cut's key replays
-    that cut's plan.  The key holds the parts themselves, never a digest of
-    them: a collision would miscount.
+    that cut's plan and builds no graph.  The key holds the parts
+    themselves, never a digest of them: a collision would miscount.
+
+    Only a cut whose key is new builds its :class:`DecompositionContext`
+    from ``split``, ``(G, host, h1, h2, s1, s2)``, on ``G[host]``; its
+    boundary candidates depend on the a-graph's shape alone, so
+    ``candidates`` keeps them by shape.
     """
-    a = ctx.a_graph
-    F = ShadowTable(a.induced_subgraph(ctx.x_prime), a)
     if not F1 or not F2:
         return F
-    key = (
-        a.n,
-        tuple(ctx.a_pairs),
-        tuple(a._index[v] for v in F.domain.vertices),
-        _side_key(F1, a),
-        _side_key(F2, a),
-    )
+    plans, candidates = memo
+    at = {v: k for k, v in enumerate(F.labels)}
+    shape = (len(F.labels), F.pairs)
+    key = (*shape, F.inside, _side_key(F1, at), _side_key(F2, at))
     plan = plans.get(key)
     if plan is None:
-        candidates = partial_mec_codes(a, max_edges=mark_cap)
+        G, host, *halves = split
+        ctx = DecompositionContext(G.induced_subgraph(host), *halves)
+        if ctx.a_graph.vertices != F.labels or tuple(ctx.a_pairs) != F.pairs:
+            raise InternalInvariantError("the cut's a-graph differs from its context's")
+        rows = candidates.get(shape)
+        if rows is None:
+            rows = candidates[shape] = partial_mec_codes(ctx.a_graph, max_edges=mark_cap)
         plan = plans[key] = [
-            (F._key(code, p1, p2), i, j)
-            for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2)
+            (F._key(code, p1, p2), i, j) for code, i, j, p1, p2 in extensions(ctx, rows, F1, F2)
         ]
     counts1 = list(F1.entries.values())
     counts2 = list(F2.entries.values())
@@ -145,15 +172,11 @@ def _combine_tables(ctx, F1: ShadowTable, F2: ShadowTable, mark_cap, plans: dict
     return F
 
 
-def _side_key(F: ShadowTable, a) -> tuple:
-    """What the glue reads of a side table, in a-graph index terms."""
-    fi = F.frame._index
-    return (
-        F.frame.n,
-        tuple(F.edges),
-        tuple((fi[v], a._index[v]) for v in F.domain.vertices),
-        tuple(F.entries),
-    )
+def _side_key(F: ShadowTable, at: dict) -> tuple:
+    """What the glue reads of a side table, in the index terms of the
+    a-graph whose label-to-index map is ``at``."""
+    labels = F.labels
+    return (len(labels), F.edges, tuple([(f, at[labels[f]]) for f in F.inside]), tuple(F.entries))
 
 
 def count_mecs(
@@ -172,29 +195,43 @@ def count_mecs(
     since collider sets combine independently across components.  The empty
     graph counts one (the empty class).
     """
+    return count_components(
+        G, method, heuristic=heuristic, orientation_cap=orientation_cap, mark_cap=mark_cap
+    )[0]
+
+
+def count_components(
+    G: Pdag,
+    method: str = "auto",
+    *,
+    heuristic: str = "min_fill",
+    orientation_cap: int = DEFAULT_ORIENTATION_CAP,
+    mark_cap: int = DEFAULT_MARK_ENUM_CAP,
+) -> tuple[int, list]:
+    """:func:`count_mecs`'s answer, and what it ran: per connected
+    component, by least label, the pair ``(route, td)`` of the route it took
+    and the decomposition the engine folded (``None`` on the brute route).
+
+    ``auto`` decides per component: the brute route up to
+    ``AUTO_BRUTE_EDGE_THRESHOLD`` edges, the engine above.
+    """
     if not G.is_fully_undirected():
         raise GraphInputError("counting expects an undirected skeleton")
     if method not in ("auto", "brute", "fpt"):
         raise GraphInputError(f"unknown method {method!r}")
-    if G.n == 0:
-        return 1
     comps = G.components()
-    if len(comps) > 1:
-        return math.prod(
-            count_mecs(
-                G.induced_subgraph(c),
-                method,
-                heuristic=heuristic,
-                orientation_cap=orientation_cap,
-                mark_cap=mark_cap,
-            )
-            for c in comps
-        )
-    chosen = method
-    if chosen == "auto":
-        chosen = "brute" if G.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
-    if chosen == "brute":
-        return brute_count_mecs(G, max_edges=orientation_cap)
-    U = G.skeleton()
-    # tree_decomposition validates what it builds
-    return _count_rec(U, tree_decomposition(U, heuristic), orientation_cap, mark_cap).total()
+    total, runs = 1, []
+    for part in [G] if len(comps) == 1 else [G.induced_subgraph(c) for c in comps]:
+        route = method
+        if route == "auto":
+            route = "brute" if part.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
+        if route == "brute":
+            total *= brute_count_mecs(part, max_edges=orientation_cap)
+            runs.append((route, None))
+        else:
+            U = part.skeleton()
+            # tree_decomposition validates what it builds
+            td = tree_decomposition(U, heuristic)
+            total *= _count_rec(U, td, orientation_cap, mark_cap).total()
+            runs.append((route, td))
+    return total, runs

@@ -49,20 +49,7 @@ class DecompositionContext:
         self.h2 = frozenset(h2)
         self.s1 = frozenset(s1)
         self.s2 = frozenset(s2)
-        if not (self.h1 | self.h2) == h.vertex_set:
-            raise PreconditionError("the two halves must cover the host's vertices")
-        self.i = self.h1 & self.h2
-        for u, v in h.skeleton_edges():
-            inside1 = u in self.h1 and v in self.h1
-            inside2 = u in self.h2 and v in self.h2
-            if not (inside1 or inside2):
-                raise PreconditionError(
-                    f"edge ({u!r}, {v!r}) crosses the separator split"
-                )
-        if not self.s1 <= self.h1 or not self.s2 <= self.h2:
-            raise PreconditionError("bag sets must lie inside their halves")
-        if self.s1 & self.s2 != self.i:
-            raise PreconditionError("bag intersection must equal the separator")
+        self.i = _check_split(h.vertex_set, self.h1, self.h2, self.s1, self.s2, h.skeleton_edges())
         # no edge from a bag leaves its half, so the bag's closed
         # neighborhood inside its half is the host's cut down to the half,
         # and the a-graph holds it
@@ -92,6 +79,25 @@ class DecompositionContext:
 
     def side_vertices(self, side: int) -> frozenset:
         return self.b1_vertices if side == 1 else self.b2_vertices
+
+
+def _check_split(host, h1, h2, s1, s2, edges) -> frozenset:
+    """The separator ``h1 & h2`` of a split of the host's vertex set
+    ``host`` into halves ``h1``, ``h2`` with bags ``s1``, ``s2``; raises
+    :class:`PreconditionError` unless the halves cover the host, none of the
+    host's ``edges`` crosses between the halves, each bag lies inside its
+    half and the bags meet in the separator."""
+    if h1 | h2 != host:
+        raise PreconditionError("the two halves must cover the host's vertices")
+    for u, v in edges:
+        if not (u in h1 and v in h1 or u in h2 and v in h2):
+            raise PreconditionError(f"edge ({u!r}, {v!r}) crosses the separator split")
+    if not s1 <= h1 or not s2 <= h2:
+        raise PreconditionError("bag sets must lie inside their halves")
+    i = h1 & h2
+    if s1 & s2 != i:
+        raise PreconditionError("bag intersection must equal the separator")
+    return i
 
 
 def is_valid_dpf(t: TfpTable) -> bool:
@@ -224,8 +230,7 @@ class _Side:
 
     def __init__(self, ctx: DecompositionContext, side: int, table: ShadowTable):
         g = ctx.side_graph(side)
-        dom = table.domain
-        if dom.vertices != g.vertices or not np.array_equal(dom.adjacency | dom.adjacency.T, g.adjacency):
+        if table._skeleton != (g.vertices, g.skeleton_edges()):
             raise GraphInputError(f"side-{side} table does not live on the bag boundary graph")
         labels, aidx, n = ctx.a_graph.vertices, ctx.a_graph._index, ctx.a_graph.n
         where = {}
@@ -233,7 +238,7 @@ class _Side:
             where[labels[i], labels[k]] = j
         # both numberings list a pair's ends in label order, so a trit reads
         # the same in either
-        fl, nf = table.frame.vertices, table.frame.n
+        fl, nf = table.labels, len(table.labels)
         found = sorted((where[fl[i], fl[k]], jf, i, k) for jf, i, k in table.edges)
         self.graph = g
         self.pos = [j for j, _, _, _ in found]

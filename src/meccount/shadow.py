@@ -14,7 +14,7 @@ from typing import Iterator
 
 from . import _kernels
 from .errors import GraphInputError, PreconditionError
-from .graph import Pdag, label_key
+from .graph import Pdag, UndirectedGraph, label_key
 from .mecrules import (
     _check_edge_cap,
     _code_of_pdag,
@@ -71,31 +71,60 @@ class ShadowTable:
     ``domain`` is the boundary graph all shadows must live on; a shadow that
     never got an entry counts zero.  Inside, a shadow is the integer key
     ``(code, p1, p2)`` over a frame graph holding the domain as an induced
-    subgraph (the domain itself unless given): ``code`` has the shadow's
+    subgraph (the domain itself in a table made from a graph; the counting
+    engine's glued tables keep the cut's a-graph): ``code`` has the shadow's
     marks as trits at the frame's skeleton-edge positions ``pairs`` (see
     ``mecrules._code_rows``), and ``p1[t]``, ``p2[t]`` are the path-table
     rows of the domain's ordered pair ``slots[t]``, as bits over the frame's
     ordered-pair slots and vertices (see ``tfp``).  The counting engine
     files classes under the keys of their codes and rows; shadows are
     encoded and decoded only where this class takes or hands them out.
+
+    The frame is held as its sorted ``labels`` and skeleton index ``pairs``,
+    the domain as the frame positions ``inside``; the engine makes its
+    tables from those alone, and the ``frame`` and ``domain`` graphs are
+    built only where something reads them.
     """
 
-    def __init__(self, domain: Pdag, frame: Pdag | None = None):
-        self.domain = domain
-        self.frame = frame = domain if frame is None else frame
-        self.pairs = pairs = _skeleton_pairs(frame)
-        labels, inside, n = frame.vertices, domain.vertex_set, frame.n
+    def __init__(self, domain: Pdag):
+        self._place(domain.vertices, _skeleton_pairs(domain), tuple(range(domain.n)))
+        self.domain = self.frame = domain
+
+    @classmethod
+    def _on_labels(cls, labels: tuple, pairs, inside=None) -> "ShadowTable":
+        """An empty table whose frame has the sorted ``labels`` and the
+        skeleton index ``pairs`` (ascending), and whose domain holds the
+        frame's vertices at the ascending positions ``inside`` (all of them
+        unless given).  The two graphs are built only if something reads
+        them."""
+        self = object.__new__(cls)
+        self._place(labels, pairs, tuple(range(len(labels))) if inside is None else inside)
+        return self
+
+    def _place(self, labels, pairs, inside) -> None:
+        self.labels, self.pairs, self.inside = labels, tuple(pairs), inside
+        n = len(labels)
+        vmask = sum(1 << f for f in inside)
         # the domain's skeleton edges as (frame position, frame pair)
-        self.edges = [
-            (j, i, k) for j, (i, k) in enumerate(pairs) if labels[i] in inside and labels[k] in inside
-        ]
+        self.edges = tuple(
+            (j, i, k) for j, (i, k) in enumerate(self.pairs) if vmask >> i & 1 and vmask >> k & 1
+        )
         self.slots = tuple(s for _, i, k in self.edges for s in (i * n + k, k * n + i))
         self._masks = (
             sum(3 << 2 * j for j, _, _ in self.edges),
             sum(1 << s for s in self.slots),
-            sum(1 << frame._index[v] for v in domain.vertices),
+            vmask,
         )
         self.entries: dict[tuple, int] = {}
+
+    @cached_property
+    def frame(self) -> Pdag:
+        labels = self.labels
+        return UndirectedGraph(labels, [(labels[i], labels[k]) for i, k in self.pairs])
+
+    @cached_property
+    def domain(self) -> Pdag:
+        return UndirectedGraph(*self._skeleton)
 
     def _key(self, code: int, p1, p2) -> tuple:
         """The key of the shadow on the domain of a graph on the frame: its
@@ -111,20 +140,27 @@ class ShadowTable:
     def add_class(self, code: int, k: int = 1) -> None:
         """Count ``k`` more classes whose graph is the whole frame marked by
         ``code``, with its own path table."""
-        n, pairs = self.frame.n, self.pairs
+        n, pairs = len(self.labels), self.pairs
         _, p1, p2, _ = _closed_rows(n, _code_rows(n, pairs, code), _code_rows(n, pairs, 0))
         key = self._key(code, p1, p2)
         self.entries[key] = self.entries.get(key, 0) + k
 
     @cached_property
-    def _skeleton(self):
-        return self.domain.vertices, self.domain.skeleton_edges()
+    def _skeleton(self) -> tuple:
+        """The domain's labels and skeleton edges, in the order a graph on
+        the domain lists them."""
+        labels = self.labels
+        return (
+            tuple(labels[f] for f in self.inside),
+            tuple((labels[i], labels[k]) for _, i, k in self.edges),
+        )
 
     def _on_domain(self, s: Shadow) -> bool:
         return (s.o.vertices, s.o.skeleton_edges()) == self._skeleton
 
     def _key_of(self, s: Shadow) -> tuple:
-        labels, fi, n = self.frame.vertices, self.frame._index, self.frame.n
+        labels, n = self.labels, len(self.labels)
+        fi = {v: i for i, v in enumerate(labels)}
         p1, p2 = [0] * (n * n), [0] * (n * n)
         for (a, b), (c, d) in s.table.p1:
             p1[fi[a] * n + fi[b]] |= 1 << fi[c] * n + fi[d]
@@ -135,7 +171,7 @@ class ShadowTable:
     def _shadow(self, key: tuple) -> Shadow:
         code, p1, p2 = key
         o = _pdag_from_code(self.frame, self.pairs, code).induced_subgraph(self.domain.vertices)
-        return Shadow._trusted(o, _matrices_to_table(self.frame.vertices, self.slots, p1, p2))
+        return Shadow._trusted(o, _matrices_to_table(self.labels, self.slots, p1, p2))
 
     def add(self, s: Shadow, k: int) -> None:
         if k < 0:

@@ -95,6 +95,35 @@ class TestCount:
         assert out.strip() == "1346269"  # Fibonacci F(31)
         assert len(calls) == 1
 
+    def test_json_reports_the_route_each_component_ran(self, capsys, tmp_path, monkeypatch):
+        # auto decides per component, in the library and the CLI alike: two
+        # disjoint 6-edge paths have 12 edges but go through brute
+        engine = []
+        real = meccount.counting._count_rec
+
+        def counted(*args):
+            engine.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(meccount.counting, "_count_rec", counted)
+        two = "".join(f"a{i} a{i + 1}\nb{i} b{i + 1}\n" for i in range(6))
+        p = tmp_path / "two_paths.txt"
+        p.write_text(two)
+        code, out, _ = run(capsys, "count", str(p), "--json")
+        assert code == 0 and not engine
+        d = json.loads(out)
+        assert (d["count"], d["method"], d["width"], d["bags"]) == (13 * 13, "brute", None, None)
+        assert meccount.counting.count_mecs(meccount.cli.parse_edge_list(two)) == 13 * 13
+        assert not engine
+        # a 12-edge path beside them runs the engine alone; width and bags
+        # describe its decomposition only
+        p.write_text(two + "".join(f"c{i} c{i + 1}\n" for i in range(12)))
+        code, out, _ = run(capsys, "count", str(p), "--json")
+        d = json.loads(out)
+        (td,) = engine
+        assert d["count"] == 13 * 13 * 233  # F(7)^2 F(13)
+        assert (d["method"], d["width"], d["bags"]) == ("brute+fpt", td.width, len(td.bags))
+
     def test_methods_agree(self, capsys, k3):
         _, out_b, _ = run(capsys, "count", k3, "--method", "brute")
         _, out_f, _ = run(capsys, "count", k3, "--method", "fpt")

@@ -311,3 +311,59 @@ class TestClosedFormsAtScale:
             return len(calls)
 
         assert 0 < enumerations(400) <= enumerations(100)
+
+    def test_longer_path_builds_no_more_contexts(self, monkeypatch):
+        # a replayed cut builds no decomposition context, and its a-graph
+        # Pdag comes only with one
+        built = []
+        real = counting.DecompositionContext
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "DecompositionContext", counted)
+
+        def contexts(n):
+            built.clear()
+            G = _rotated(n, workloads.path_edges(n), random.Random(75))
+            assert count_mecs(G) == workloads.fibonacci(n)
+            return len(built)
+
+        assert 0 < contexts(400) <= contexts(100)
+
+    def test_every_cut_checks_its_split(self, monkeypatch):
+        # replayed cuts too: one check per tree edge of the decomposition
+        checked = []
+        real = counting._check_split
+
+        def counted(*args):
+            checked.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(counting, "_check_split", counted)
+        G = _rotated(200, workloads.path_edges(200), random.Random(76))
+        td = tree_decomposition(G)
+        assert count_rec(G, td, td.root).total() == workloads.fibonacci(200)
+        assert len(checked) == len(td.bags) - 1
+
+    def test_no_boundary_shape_is_enumerated_twice(self, monkeypatch):
+        # within one count, the candidates of an a-graph shape are
+        # enumerated once, even when the cuts' plans differ
+        from meccount.mecrules import _skeleton_pairs
+
+        shapes = []
+        real = counting.partial_mec_codes
+
+        def recorded(U, **kwargs):
+            shapes.append((U.n, tuple(_skeleton_pairs(U))))
+            return real(U, **kwargs)
+
+        monkeypatch.setattr(counting, "partial_mec_codes", recorded)
+        rng = random.Random(79)
+        for n in (60, 120):
+            edges = workloads.random_tree_edges(n, 3, rng)
+            shapes.clear()
+            assert count_mecs(_rotated(n, edges, rng)) == workloads.tree_count(edges, n)
+            assert shapes and len(set(shapes)) == len(shapes)
+
