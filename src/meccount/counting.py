@@ -12,6 +12,8 @@ shadow space because zero-count factors contribute nothing to any product.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import GraphInputError, InternalInvariantError, PreconditionError
 from .extension import DecompositionContext, _check_split, extensions
 from .graph import Pdag, UndirectedGraph
@@ -232,6 +234,26 @@ def count_components(
             U = part.skeleton()
             # tree_decomposition validates what it builds
             td = tree_decomposition(U, heuristic)
-            total *= _count_rec(U, td, orientation_cap, mark_cap).total()
+            total *= _count_rec(*_in_fold_order(U, td), orientation_cap, mark_cap).total()
             runs.append((route, td))
     return total, runs
+
+
+def _in_fold_order(U: UndirectedGraph, td: TreeDecomposition) -> tuple:
+    """``U`` and ``td`` with the vertices relabelled ``0..n-1`` in the
+    preorder position of each one's first bag, ties by label.
+
+    The fold reads bag graphs and a-graphs as index pairs over sorted
+    labels, so in these labels cuts with the same local structure get the
+    same pairs whatever the input's labels, and replay one another.
+    """
+    first: dict = {}
+    for k, i in enumerate(td.preorder):
+        for v in td.bags[i]:
+            first.setdefault(v, k)
+    order = sorted(U.vertices, key=first.__getitem__)  # stable: ties stay by label
+    idx = [U._index[v] for v in order]
+    new = {v: k for k, v in enumerate(order)}
+    G = UndirectedGraph._from_matrix(tuple(range(len(order))), U.adjacency[np.ix_(idx, idx)])
+    bags = {i: frozenset(map(new.__getitem__, b)) for i, b in td.bags.items()}
+    return G, TreeDecomposition(bags=bags, tree_edges=td.tree_edges, root=td.root)

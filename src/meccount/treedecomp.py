@@ -9,6 +9,7 @@ bags root first with each subtree contiguous.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,6 +95,12 @@ def tree_decomposition(
     ``min_degree`` picks the smallest current neighborhood.  Ties break on
     the label.  Bags contained in a tree-neighbor bag are contracted away.
     No width guarantee.
+
+    Scores sit in a heap with lazy deletion (Bodlaender & Koster,
+    "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
+    Eliminating ``v`` changes only the degrees of ``N(v)``, and only the
+    fill of ``N(v)`` and their neighbours, so only those are re-scored.  On
+    a graph of bounded degree the whole decomposition is near-linear.
     """
     if heuristic not in HEURISTICS:
         raise GraphInputError(f"unknown heuristic {heuristic!r}; expected {HEURISTICS}")
@@ -108,85 +115,89 @@ def tree_decomposition(
     for a, b in U.skeleton_edges():
         adj[a].add(b)
         adj[b].add(a)
-
-    def fill_count(v) -> int:
-        nbrs = list(adj[v])
-        cnt = 0
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                if nbrs[j] not in adj[nbrs[i]]:
-                    cnt += 1
-        return cnt
+    fill = heuristic == "min_fill"
+    score_of = _fill_count if fill else _degree
+    score = {v: score_of(adj, v) for v in adj}
+    heap = [(s, label_key(v), v) for v, s in score.items()]
+    heapq.heapify(heap)
 
     elim_pos: dict = {}
     raw_bags: list[frozenset] = []
-    elim_vertex: list = []
-    k = 0
-    while adj:
-        if heuristic == "min_fill":
-            v = min(adj, key=lambda x: (fill_count(x), label_key(x)))
-        else:
-            v = min(adj, key=lambda x: (len(adj[x]), label_key(x)))
-        nbrs = adj[v]
-        raw_bags.append(frozenset({v} | nbrs))
-        elim_vertex.append(v)
-        elim_pos[v] = k
-        k += 1
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        for a in nbrs:
-            adj[a].discard(v)
-        del adj[v]
-
-    edges: set[tuple[int, int]] = set()
-    for i, bag in enumerate(raw_bags):
-        rest = bag - {elim_vertex[i]}
-        if not rest:
-            # last elimination in this component; attach to any later bag
-            # already holding the vertex, or to the previous bag
-            if i + 1 < len(raw_bags):
-                edges.add((i, i + 1))
+    while heap:
+        s, _, v = heapq.heappop(heap)
+        if v in elim_pos or score[v] != s:
             continue
-        parent_vertex = min(rest, key=lambda x: elim_pos[x])
-        j = elim_pos[parent_vertex]
-        edges.add((min(i, j), max(i, j)))
+        nbrs = adj.pop(v)
+        elim_pos[v] = len(raw_bags)
+        raw_bags.append(frozenset({v} | nbrs))
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a].discard(a)
+            adj[a].discard(v)
+        stale = nbrs.union(*(adj[a] for a in nbrs)) if fill else nbrs
+        for x in stale:
+            s = score_of(adj, x)
+            if s != score[x]:
+                score[x] = s
+                heapq.heappush(heap, (s, label_key(x), x))
 
-    bags = {i: b for i, b in enumerate(raw_bags)}
-    bags, edges = _contract_redundant(bags, edges)
+    # bag i hangs off the bag of its neighbour eliminated next; in a
+    # connected graph only the last bag has no neighbour left
+    parent = [
+        min(elim_pos[x] for x in bag if elim_pos[x] > i) if len(bag) > 1 else None
+        for i, bag in enumerate(raw_bags)
+    ]
+    bags, edges = _contract_redundant(raw_bags, parent)
     remap = {old: new for new, old in enumerate(sorted(bags))}
     bags = {remap[i]: b for i, b in bags.items()}
-    edges = {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in edges}
+    edges = {(remap[a], remap[b]) for a, b in edges}
     td = TreeDecomposition(bags=bags, tree_edges=frozenset(edges), root=0)
     if not validate_td(U, td):
         raise InternalInvariantError("constructed decomposition failed validation")
     return td
 
 
-def _contract_redundant(bags: dict[int, frozenset], edges: set[tuple[int, int]]):
-    """Merge every bag contained in a tree-neighbor into that neighbor."""
-    changed = True
-    while changed:
-        changed = False
-        for a, b in sorted(edges):
-            small, big = None, None
-            if bags[a] <= bags[b]:
-                small, big = a, b
-            elif bags[b] <= bags[a]:
-                small, big = b, a
-            if small is None:
-                continue
-            edges.discard((min(small, big), max(small, big)))
-            for x, y in list(edges):
-                if x == small or y == small:
-                    other = y if x == small else x
-                    edges.discard((x, y))
-                    if other != big:
-                        edges.add((min(other, big), max(other, big)))
-            del bags[small]
-            changed = True
-            break
+def _fill_count(adj: dict, v) -> int:
+    """Edges that eliminating ``v`` would add between its neighbours."""
+    nbrs = adj[v]
+    return sum(len(nbrs - adj[u]) - 1 for u in nbrs) // 2
+
+
+def _degree(adj: dict, v) -> int:
+    return len(adj[v])
+
+
+def _contract_redundant(raw_bags: list[frozenset], parent: list):
+    """Merge every bag contained in a tree-neighbour into that neighbour, in
+    one pass in elimination order; ``parent[i]`` is the bag that bag ``i``
+    hangs off.
+
+    A bag's own vertex lies in no later bag, so only a parent can be
+    contained in its child; the child absorbs it, keeping its own index and
+    contents, and takes the parent's place.  Each bag in turn absorbs its
+    ancestors while the next is contained in it.  A bag that stops never
+    gains a containment later: its parent can only be replaced by a
+    sibling's bag, which holds the sibling's own vertex.  So the result is
+    that of merging the least contained tree edge first.  Returns the kept
+    bags by index and the tree edges as ascending index pairs.
+    """
+    absorbed: dict[int, int] = {}  # bag index -> the bag that absorbed it
+    top: dict[int, int] = {}  # kept bag -> the highest bag it absorbed
+    for c, bag in enumerate(raw_bags):
+        if c in absorbed:
+            continue
+        t = c
+        # an absorbed parent now holds a sibling's bag: no containment
+        while (p := parent[t]) is not None and p not in absorbed and raw_bags[p] <= bag:
+            absorbed[p] = c
+            t = p
+        top[c] = t
+    bags = {c: raw_bags[c] for c in top}
+    edges = set()
+    for c, t in top.items():
+        if parent[t] is not None:
+            p = absorbed.get(parent[t], parent[t])
+            edges.add((min(c, p), max(c, p)))
     return bags, edges
 
 

@@ -280,3 +280,72 @@ def td_from_elimination_order(U, order, root=None):
     return TreeDecomposition(
         bags=bags, tree_edges=frozenset(edges), root=len(order) - 1 if root is None else root
     )
+
+
+def tree_decomposition_reference(U, heuristic="min_fill"):
+    """The elimination heuristics re-scored from scratch: every step scores
+    every vertex left (``min_fill``: the edges its elimination would add;
+    ``min_degree``: its current degree) and eliminates the least, ties on
+    the label.  Each bag is a vertex and its neighbours left, hung off the
+    bag of the neighbour eliminated next; then, restarting a sorted scan of
+    the tree edges after every merge, a bag contained in a tree neighbour
+    is merged into it.  Bags are renumbered in order and rooted at 0.  For
+    a connected undirected graph with at least one vertex."""
+    from meccount.treedecomp import TreeDecomposition
+
+    adj = {v: set() for v in U.vertices}
+    for a, b in U.skeleton_edges():
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def score(v):
+        if heuristic == "min_degree":
+            return len(adj[v])
+        return sum(1 for a, b in itertools.combinations(adj[v], 2) if b not in adj[a])
+
+    elim_pos, raw_bags, elim_vertex = {}, [], []
+    while adj:
+        v = min(adj, key=lambda x: (score(x), _lk(x)))
+        nbrs = adj[v]
+        raw_bags.append(frozenset({v} | nbrs))
+        elim_pos[v] = len(elim_vertex)
+        elim_vertex.append(v)
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+        del adj[v]
+
+    edges = set()
+    for i, bag in enumerate(raw_bags):
+        rest = bag - {elim_vertex[i]}
+        if rest:
+            j = elim_pos[min(rest, key=lambda x: elim_pos[x])]
+            edges.add((min(i, j), max(i, j)))
+
+    bags = dict(enumerate(raw_bags))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(edges):
+            if bags[a] <= bags[b]:
+                small, big = a, b
+            elif bags[b] <= bags[a]:
+                small, big = b, a
+            else:
+                continue
+            edges.discard((a, b))
+            for x, y in list(edges):
+                if small in (x, y):
+                    other = y if x == small else x
+                    edges.discard((x, y))
+                    if other != big:
+                        edges.add((min(other, big), max(other, big)))
+            del bags[small]
+            changed = True
+            break
+    remap = {old: new for new, old in enumerate(sorted(bags))}
+    return TreeDecomposition(
+        bags={remap[i]: b for i, b in bags.items()},
+        tree_edges=frozenset((remap[a], remap[b]) for a, b in edges),
+        root=0,
+    )

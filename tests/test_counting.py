@@ -20,7 +20,7 @@ from meccount import (
 from meccount import counting
 from meccount.counting import AUTO_BRUTE_EDGE_THRESHOLD
 from meccount.tfp import EMPTY_TABLE
-from meccount.treedecomp import TreeDecomposition, tree_decomposition
+from meccount.treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 import oracles
 from conftest import connected_graphs, grid, ladder, random_connected_graph
@@ -331,6 +331,47 @@ class TestClosedFormsAtScale:
             return len(built)
 
         assert 0 < contexts(400) <= contexts(100)
+
+    def test_shuffled_path_builds_no_more_contexts_than_rotated(self, monkeypatch):
+        # the fold runs on labels in decomposition order, so a cut's index
+        # pairs, and whether it replays, do not depend on the input's labels
+        built = []
+        real = counting.DecompositionContext
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "DecompositionContext", counted)
+        n, rng = 200, random.Random(80)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = UndirectedGraph(
+            vertices=range(n), edges=[(perm[u], perm[v]) for u, v in workloads.path_edges(n)]
+        )
+        rotated = _rotated(n, workloads.path_edges(n), rng)
+        counts = []
+        for G in (shuffled, rotated):
+            built.clear()
+            assert count_mecs(G) == workloads.fibonacci(n)
+            counts.append(len(built))
+        assert 0 < counts[0] <= counts[1]
+
+    def test_runs_keep_each_decomposition_on_its_component_labels(self):
+        # the fold relabels each component; what the count reports does not
+        tree = workloads.random_tree_edges(30, 3, random.Random(81))
+        G = UndirectedGraph(
+            edges=[(f"p{u}", f"p{v}") for u, v in workloads.path_edges(40)]
+            + [(u + 100, v + 100) for u, v in tree]
+            + [(f"c{u}", f"c{v}") for u, v in workloads.cycle_edges(25)]
+        )
+        total, runs = counting.count_components(G, "fpt")
+        expected = workloads.fibonacci(40) * workloads.tree_count(tree, 30)
+        assert total == expected * (workloads.lucas(25) - 1)
+        comps = G.components()
+        assert [td.vertices() for _, td in runs] == list(comps)
+        for (_, td), comp in zip(runs, comps):
+            assert validate_td(G.induced_subgraph(comp), td)
 
     def test_every_cut_checks_its_split(self, monkeypatch):
         # replayed cuts too: one check per tree edge of the decomposition

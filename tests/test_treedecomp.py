@@ -11,6 +11,7 @@ from meccount import (
     tree_decomposition,
     validate_td,
 )
+from meccount import treedecomp
 
 import oracles
 from conftest import random_connected_graph
@@ -45,6 +46,46 @@ def test_disconnected_rejected():
 def test_unknown_heuristic():
     with pytest.raises(GraphInputError):
         tree_decomposition(UndirectedGraph(edges=[(0, 1)]), "magic")
+
+
+def _mixed_labels(rng, G):
+    """``G`` with each vertex kept as an int or renamed to a str at random."""
+    name = {v: v if rng.random() < 0.5 else f"v{v}" for v in G.vertices}
+    return UndirectedGraph(
+        vertices=[name[v] for v in G.vertices], edges=[(name[u], name[v]) for u, v in G.edges]
+    )
+
+
+class TestAgainstReference:
+    def test_same_bags_edges_and_root_as_rescoring_every_vertex(self):
+        # the heap re-scores only the eliminated vertex's neighbourhood and
+        # contracts in one pass; the reference re-scores everything at each
+        # step and restarts its contraction scan after every merge
+        rng = random.Random(16)
+        contracted = 0
+        for k in range(520):
+            n = rng.randint(2, 16)
+            G = _mixed_labels(rng, random_connected_graph(rng, n, extra=rng.randint(0, 2 * n)))
+            for heuristic in ("min_fill", "min_degree"):
+                td = tree_decomposition(G, heuristic)
+                ref = oracles.tree_decomposition_reference(G, heuristic)
+                assert (td.bags, td.tree_edges, td.root) == (ref.bags, ref.tree_edges, ref.root)
+                contracted += len(td.bags) < n
+        assert contracted > 500
+
+    def test_path_scores_linearly_many_fills(self, monkeypatch):
+        calls = []
+        real = treedecomp._fill_count
+
+        def counted(adj, v):
+            calls.append(1)
+            return real(adj, v)
+
+        monkeypatch.setattr(treedecomp, "_fill_count", counted)
+        n = 2000
+        td = tree_decomposition(UndirectedGraph(edges=[(i, i + 1) for i in range(n - 1)]))
+        assert td.width == 1 and len(td.bags) == n - 1
+        assert len(calls) <= 4 * n
 
 
 class TestValidate:
