@@ -8,17 +8,19 @@ own induced graph; each child subtree's table is then combined into it over
 every boundary partial MEC accepted by the extension test.  Only shadows
 with nonzero counts are iterated, which is equivalent to sweeping the whole
 shadow space because zero-count factors contribute nothing to any product.
+
+The fold reads the input only as neighbour sets: each cut is derived from
+them once, as label sets and index pairs, and is handed to the extension
+test as that index record when its glue plan is new.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import GraphInputError, InternalInvariantError, PreconditionError
-from .extension import DecompositionContext, _check_split, extensions
+from .errors import GraphInputError, PreconditionError
+from .extension import _check_split, _Cut, _cut_frame, _induced, extensions
 from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, mec_codes
-from .shadow import DEFAULT_MARK_ENUM_CAP, ShadowTable, partial_mec_codes
+from .shadow import ShadowTable, partial_mec_codes
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
@@ -35,25 +37,19 @@ def brute_force_count(
     return F
 
 
-def count_rec(
-    G: UndirectedGraph,
-    td: TreeDecomposition,
-    r1: int,
-    *,
-    orientation_cap: int = DEFAULT_ORIENTATION_CAP,
-    mark_cap: int = DEFAULT_MARK_ENUM_CAP,
-) -> ShadowTable:
+def count_rec(G: UndirectedGraph, td: TreeDecomposition, r1: int) -> ShadowTable:
     """Class counts of ``G`` grouped by shadow on ``G[R1 ∪ N(R1)]``."""
     if r1 != td.root:
         raise PreconditionError(f"{r1} is not the root of the decomposition")
     if not validate_td(G, td):
         raise PreconditionError("decomposition is not valid for this graph")
-    return _count_rec(G, td, orientation_cap, mark_cap)
+    return _count_rec(G.neighbor_sets(), td, G._index.__getitem__)
 
 
-def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
-    """Fold a valid decomposition of ``G`` into the root's table, children
-    before parents, without recursion.
+def _count_rec(nbrs: dict, td: TreeDecomposition, rank=None) -> ShadowTable:
+    """Fold a valid decomposition of the graph ``G`` with neighbour sets
+    ``nbrs`` into the root's table, children before parents, without
+    recursion; ``rank`` orders ``G``'s labels (their natural order if None).
 
     A bag ``r`` starts from the leaf table of ``G[bag]`` and absorbs its
     children ``c`` in increasing index order: the same splits that cutting
@@ -70,9 +66,10 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
     its bag graph's vertex count and edges, a cut's glue plan by the key
     :func:`_combine_tables` files it under, and the a-graph's boundary
     candidates by its vertex count and edges.  Bag graphs and a-graphs are
-    read off ``G``'s neighbour sets as sorted labels and index pairs; a
-    ``Pdag`` is built only where a leaf table or a plan is computed.  The
-    memo is dropped when the count returns.
+    read off the neighbour sets as sorted labels and index pairs, once per
+    cut (see :func:`extension._cut_frame`); a ``Pdag`` is built only where
+    a leaf table or boundary candidates are computed.  The memo is dropped
+    when the count returns.
     """
     order = td.preorder
     pos = {i: k for k, i in enumerate(order)}
@@ -80,11 +77,6 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
     for i in order:
         for v in td.bags[i]:
             first.setdefault(v, pos[i])
-    nbrs: dict = {v: set() for v in G.vertices}
-    for u, v in G.skeleton_edges():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    rank = G._index.__getitem__  # G's labels are sorted
     end: dict[int, int] = {}  # one past the last preorder position of a subtree
     tables: dict[int, ShadowTable] = {}
     leaves: dict = {}  # leaf entries by the bag graph's index structure
@@ -95,7 +87,7 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
         F = ShadowTable._on_labels(labels, pairs)
         shape = (len(labels), F.pairs)
         if shape not in leaves:
-            leaves[shape] = brute_force_count(F.domain, max_edges=orientation_cap).entries
+            leaves[shape] = brute_force_count(F.domain).entries
         F.entries = dict(leaves[shape])
         kids = td.children(r)
         for c in kids:
@@ -105,33 +97,21 @@ def _count_rec(G, td, orientation_cap, mark_cap) -> ShadowTable:
             h1 = {v for v in host if v in s1 or first[v] < pos[c]}
             h2 = {v for v in host if v in s2 or first[v] >= pos[c]}
             _check_split(host, h1, h2, s1, s2, ((u, v) for u in h1 - h2 for v in nbrs[u] & host))
-            x1 = host & s1.union(*(nbrs[v] for v in s1))
-            x2 = host & s2.union(*(nbrs[v] for v in s2))
-            labels, pairs = _induced(x1 | x2, nbrs, rank)
+            x1, x2, labels, pairs = _cut_frame(nbrs, host, s1, s2, rank)
             x_prime = tuple(k for k, v in enumerate(labels) if v in x1)
             glued = ShadowTable._on_labels(labels, pairs, x_prime)
-            F = _combine_tables((G, host, h1, h2, s1, s2), glued, F, tables.pop(c), mark_cap, memo)
+            F = _combine_tables(glued, F, tables.pop(c), (x1 & h1, x2 & h2), memo)
         end[r] = end[kids[-1]] if kids else pos[r] + 1
         tables[r] = F
     return tables[td.root]
 
 
-def _induced(vs, nbrs, rank) -> tuple:
-    """``G[vs]`` as its sorted labels and its skeleton edges as ascending
-    index pairs."""
-    labels = tuple(sorted(vs, key=rank))
-    at = {v: k for k, v in enumerate(labels)}
-    pairs = sorted(
-        (i, k) for i, u in enumerate(labels) for v in nbrs[u] if (k := at.get(v, -1)) > i
-    )
-    return labels, tuple(pairs)
-
-
-def _combine_tables(split, F: ShadowTable, F1: ShadowTable, F2: ShadowTable, mark_cap, memo):
+def _combine_tables(F: ShadowTable, F1: ShadowTable, F2: ShadowTable, domains, memo):
     """``F`` after gluing the classes of the two sides over every boundary
     candidate, grouped by their shadow on ``x' = N[s1]``: ``F`` comes empty,
     with the cut's a-graph as frame and ``x'`` as domain, since the glued
-    rows live on the a-graph.
+    rows live on the a-graph; ``domains`` holds the sides' boundary graphs,
+    ``x1 & h1`` and ``x2 & h2``, as label sets.
 
     The glue is a plan: one ``(out_key, i, j)`` per extension of the
     ``i``-th shadow of ``F1`` and the ``j``-th of ``F2`` (in entry order),
@@ -140,13 +120,12 @@ def _combine_tables(split, F: ShadowTable, F1: ShadowTable, F2: ShadowTable, mar
     terms: the a-graph's skeleton, where ``x'`` sits in it, and per side
     (see :func:`_side_key`) the frame, where the domain sits in the a-graph
     and the table's keys in order.  A cut with an earlier cut's key replays
-    that cut's plan and builds no graph.  The key holds the parts
-    themselves, never a digest of them: a collision would miscount.
+    that cut's plan.  The key holds the parts themselves, never a digest of
+    them: a collision would miscount.
 
-    Only a cut whose key is new builds its :class:`DecompositionContext`
-    from ``split``, ``(G, host, h1, h2, s1, s2)``, on ``G[host]``; its
-    boundary candidates depend on the a-graph's shape alone, so
-    ``candidates`` keeps them by shape.
+    Only a cut whose key is new is set up, as an :class:`extension._Cut`
+    read off ``F`` and ``domains``; its boundary candidates depend on the
+    a-graph's shape alone, so ``candidates`` keeps them by shape.
     """
     if not F1 or not F2:
         return F
@@ -156,15 +135,12 @@ def _combine_tables(split, F: ShadowTable, F1: ShadowTable, F2: ShadowTable, mar
     key = (*shape, F.inside, _side_key(F1, at), _side_key(F2, at))
     plan = plans.get(key)
     if plan is None:
-        G, host, *halves = split
-        ctx = DecompositionContext(G.induced_subgraph(host), *halves)
-        if ctx.a_graph.vertices != F.labels or tuple(ctx.a_pairs) != F.pairs:
-            raise InternalInvariantError("the cut's a-graph differs from its context's")
+        cut = _Cut(F.labels, F.pairs, *domains)
         rows = candidates.get(shape)
         if rows is None:
-            rows = candidates[shape] = partial_mec_codes(ctx.a_graph, max_edges=mark_cap)
+            rows = candidates[shape] = partial_mec_codes(F.frame)
         plan = plans[key] = [
-            (F._key(code, p1, p2), i, j) for code, i, j, p1, p2 in extensions(ctx, rows, F1, F2)
+            (F._key(code, p1, p2), i, j) for code, i, j, p1, p2 in extensions(cut, rows, F1, F2)
         ]
     counts1 = list(F1.entries.values())
     counts2 = list(F2.entries.values())
@@ -181,14 +157,7 @@ def _side_key(F: ShadowTable, at: dict) -> tuple:
     return (len(labels), F.edges, tuple([(f, at[labels[f]]) for f in F.inside]), tuple(F.entries))
 
 
-def count_mecs(
-    G: Pdag,
-    method: str = "auto",
-    *,
-    heuristic: str = "min_fill",
-    orientation_cap: int = DEFAULT_ORIENTATION_CAP,
-    mark_cap: int = DEFAULT_MARK_ENUM_CAP,
-) -> int:
+def count_mecs(G: Pdag, method: str = "auto", *, heuristic: str = "min_fill") -> int:
     """Number of classes whose skeleton is ``G``.
 
     ``brute`` enumerates orientations; ``fpt`` folds a tree decomposition
@@ -197,18 +166,11 @@ def count_mecs(
     since collider sets combine independently across components.  The empty
     graph counts one (the empty class).
     """
-    return count_components(
-        G, method, heuristic=heuristic, orientation_cap=orientation_cap, mark_cap=mark_cap
-    )[0]
+    return count_components(G, method, heuristic=heuristic)[0]
 
 
 def count_components(
-    G: Pdag,
-    method: str = "auto",
-    *,
-    heuristic: str = "min_fill",
-    orientation_cap: int = DEFAULT_ORIENTATION_CAP,
-    mark_cap: int = DEFAULT_MARK_ENUM_CAP,
+    G: Pdag, method: str = "auto", *, heuristic: str = "min_fill"
 ) -> tuple[int, list]:
     """:func:`count_mecs`'s answer, and what it ran: per connected
     component, by least label, the pair ``(route, td)`` of the route it took
@@ -228,20 +190,20 @@ def count_components(
         if route == "auto":
             route = "brute" if part.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"
         if route == "brute":
-            total *= brute_count_mecs(part, max_edges=orientation_cap)
+            total *= brute_count_mecs(part)
             runs.append((route, None))
         else:
-            U = part.skeleton()
             # tree_decomposition validates what it builds
-            td = tree_decomposition(U, heuristic)
-            total *= _count_rec(*_in_fold_order(U, td), orientation_cap, mark_cap).total()
+            td = tree_decomposition(part, heuristic)
+            total *= _count_rec(*_in_fold_order(part, td)).total()
             runs.append((route, td))
     return total, runs
 
 
-def _in_fold_order(U: UndirectedGraph, td: TreeDecomposition) -> tuple:
-    """``U`` and ``td`` with the vertices relabelled ``0..n-1`` in the
-    preorder position of each one's first bag, ties by label.
+def _in_fold_order(U: Pdag, td: TreeDecomposition) -> tuple:
+    """``U``'s neighbour sets and ``td``, with the vertices relabelled
+    ``0..n-1`` in the preorder position of each one's first bag, ties by
+    label.
 
     The fold reads bag graphs and a-graphs as index pairs over sorted
     labels, so in these labels cuts with the same local structure get the
@@ -252,8 +214,7 @@ def _in_fold_order(U: UndirectedGraph, td: TreeDecomposition) -> tuple:
         for v in td.bags[i]:
             first.setdefault(v, k)
     order = sorted(U.vertices, key=first.__getitem__)  # stable: ties stay by label
-    idx = [U._index[v] for v in order]
     new = {v: k for k, v in enumerate(order)}
-    G = UndirectedGraph._from_matrix(tuple(range(len(order))), U.adjacency[np.ix_(idx, idx)])
+    nbrs = {new[v]: {new[u] for u in vs} for v, vs in U.neighbor_sets().items()}
     bags = {i: frozenset(map(new.__getitem__, b)) for i, b in td.bags.items()}
-    return G, TreeDecomposition(bags=bags, tree_edges=td.tree_edges, root=td.root)
+    return nbrs, TreeDecomposition(bags=bags, tree_edges=td.tree_edges, root=td.root)

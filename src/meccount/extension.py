@@ -15,24 +15,66 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .errors import GraphInputError, PreconditionError
-from .graph import Pdag, UndirectedGraph
+from .graph import Pdag, UndirectedGraph, _graph_on
 from .mecrules import (
     _code_of_pdag,
     _code_rows,
     _collider_triples,
-    _pdag_from_code,
+    _pdag_on,
     _protected_pairs,
-    _skeleton_pairs,
     is_partial_mec,
 )
 from .shadow import Shadow, ShadowTable
 from .tfp import TfpTable, _close_p1, _close_p2, _closed_rows, _matrices_to_table
 
 
-class DecompositionContext:
+class _Cut:
+    """A cut as the glue reads it: its a-graph's sorted ``a_labels``, its
+    skeleton edges as ascending index pairs ``a_pairs`` (the order of trit
+    codes) and as rows ``a_skel``, and in ``domains`` the ascending
+    positions of each side's boundary graph, ``b1`` and ``b2``."""
+
+    def __init__(self, labels: tuple, pairs: tuple, b1, b2):
+        self.a_labels, self.a_pairs = labels, pairs
+        self.a_skel = _code_rows(len(labels), pairs, 0)
+        self.domains = tuple(tuple(k for k, v in enumerate(labels) if v in b) for b in (b1, b2))
+
+    def side(self, side: int) -> tuple:
+        """The boundary graph of ``side``: its sorted labels, its skeleton
+        edges as ascending index pairs, and where each sits in ``a_pairs``."""
+        dom = self.domains[side - 1]
+        at = {a: t for t, a in enumerate(dom)}
+        pairs, pos = [], []
+        for j, (i, k) in enumerate(self.a_pairs):
+            if i in at and k in at:
+                pairs.append((at[i], at[k]))
+                pos.append(j)
+        return tuple(self.a_labels[a] for a in dom), pairs, pos
+
+
+def _cut_frame(nbrs: dict, host, s1, s2, rank) -> tuple:
+    """The closed neighbourhoods ``x1`` and ``x2`` of the bags ``s1`` and
+    ``s2`` inside ``host``, and the a-graph ``G[x1 | x2]`` (see
+    :func:`_induced`): how the counting fold and
+    :class:`DecompositionContext` alike derive a cut."""
+    x1 = host & s1.union(*(nbrs[v] for v in s1))
+    x2 = host & s2.union(*(nbrs[v] for v in s2))
+    return x1, x2, *_induced(x1 | x2, nbrs, rank)
+
+
+def _induced(vs, nbrs: dict, rank=None) -> tuple:
+    """``G[vs]`` as its labels sorted by ``rank`` and its skeleton edges as
+    ascending index pairs; ``nbrs`` holds ``G``'s neighbour sets."""
+    labels = tuple(sorted(vs, key=rank))
+    at = {v: k for k, v in enumerate(labels)}
+    pairs = sorted(
+        (i, k) for i, u in enumerate(labels) for v in nbrs[u] if (k := at.get(v, -1)) > i
+    )
+    return labels, tuple(pairs)
+
+
+class DecompositionContext(_Cut):
     """A two-way separator split of an undirected host graph.
 
     ``h1`` and ``h2`` are the vertex sets of the two induced halves whose
@@ -41,6 +83,9 @@ class DecompositionContext:
     graphs: ``a_graph`` around ``s1 | s2`` inside the whole host, ``b1`` and
     ``b2`` around each bag inside its half; ``x_prime``, the vertices around
     ``s1`` inside the whole host, is the domain the glued table keeps.
+
+    The split is derived as the counting engine derives a computed cut,
+    into the same record (:class:`_Cut`); the graphs are built from it.
     """
 
     def __init__(self, h: UndirectedGraph, h1, h2, s1, s2):
@@ -53,26 +98,20 @@ class DecompositionContext:
         # no edge from a bag leaves its half, so the bag's closed
         # neighborhood inside its half is the host's cut down to the half,
         # and the a-graph holds it
-        self.x_prime = h.closed_neighborhood(self.s1)
-        x2 = h.closed_neighborhood(self.s2)
-        self.boundary_vertices = self.x_prime | x2
-        self.a_graph = h.induced_subgraph(self.boundary_vertices)
-        self.b1_vertices = self.x_prime & self.h1
+        x1, x2, labels, pairs = _cut_frame(
+            h.neighbor_sets(), h.vertex_set, self.s1, self.s2, h._index.__getitem__
+        )
+        self.x_prime = x1
+        self.boundary_vertices = x1 | x2
+        self.b1_vertices = x1 & self.h1
         self.b2_vertices = x2 & self.h2
-        self.b1_graph = self.a_graph.induced_subgraph(self.b1_vertices)
-        self.b2_graph = self.a_graph.induced_subgraph(self.b2_vertices)
-        # the a-graph's skeleton edges as index pairs, in the order the
-        # candidates' trit codes use
-        self.a_pairs = _skeleton_pairs(self.a_graph)
-        self.a_skel = _code_rows(self.a_graph.n, self.a_pairs, 0)
+        super().__init__(labels, pairs, self.b1_vertices, self.b2_vertices)
 
-    @cached_property
-    def half1(self) -> UndirectedGraph:
-        return self.h.induced_subgraph(self.h1)
-
-    @cached_property
-    def half2(self) -> UndirectedGraph:
-        return self.h.induced_subgraph(self.h2)
+    a_graph = cached_property(lambda self: _graph_on(self.a_labels, self.a_pairs))
+    b1_graph = cached_property(lambda self: _graph_on(*self.side(1)[:2]))
+    b2_graph = cached_property(lambda self: _graph_on(*self.side(2)[:2]))
+    half1 = cached_property(lambda self: self.h.induced_subgraph(self.h1))
+    half2 = cached_property(lambda self: self.h.induced_subgraph(self.h2))
 
     def side_graph(self, side: int) -> Pdag:
         return self.b1_graph if side == 1 else self.b2_graph
@@ -106,9 +145,7 @@ def is_valid_dpf(t: TfpTable) -> bool:
 
 
 def _check_boundary(ctx: DecompositionContext, o: Pdag) -> None:
-    if o.vertex_set != ctx.a_graph.vertex_set or not np.array_equal(
-        o.adjacency | o.adjacency.T, ctx.a_graph.adjacency
-    ):
+    if o.skeleton() != ctx.a_graph:
         raise GraphInputError("candidate boundary graph has the wrong skeleton")
     if not is_partial_mec(o):
         raise PreconditionError("candidate boundary graph must be a partial MEC")
@@ -132,9 +169,9 @@ class _BoundaryClosure:
         self.present = sum(1 << s for s in slots)
 
 
-def _boundary_closure(ctx: DecompositionContext, code: int) -> _BoundaryClosure:
-    n = ctx.a_graph.n
-    return _BoundaryClosure(n, *_closed_rows(n, _code_rows(n, ctx.a_pairs, code), ctx.a_skel))
+def _boundary_closure(cut: _Cut, code: int) -> _BoundaryClosure:
+    n = len(cut.a_labels)
+    return _BoundaryClosure(n, *_closed_rows(n, _code_rows(n, cut.a_pairs, code), cut.a_skel))
 
 
 def _combine(base: _BoundaryClosure, prof1: "_ShadowProfile", prof2: "_ShadowProfile"):
@@ -194,13 +231,13 @@ def dpf(ctx: DecompositionContext, o: Pdag, sh1: Shadow, sh2: Shadow) -> TfpTabl
 
 def _derived_table(ctx: DecompositionContext, p1, p2) -> TfpTable:
     """The path table of derived rows over all the a-graph's slots."""
-    return _matrices_to_table(ctx.a_graph.vertices, range(ctx.a_graph.n ** 2), p1, p2)
+    return _matrices_to_table(ctx.a_labels, range(len(ctx.a_labels) ** 2), p1, p2)
 
 
 # -- structural mark conditions -----------------------------------------
 #
 # A boundary candidate is the kernel's row ``(code, protected)`` over the
-# a-graph's skeleton edges ``ctx.a_pairs`` (see ``shadow.partial_mec_codes``).
+# a-graph's skeleton edges ``cut.a_pairs`` (see ``shadow.partial_mec_codes``).
 # A side check sees only the side's part of it, one integer: the trits at
 # the side's edge positions and the protected bits there.  A side's shadows
 # are the integer keys of its table, whose frame numbers vertices, slots and
@@ -225,54 +262,43 @@ class _Side:
     colliders, its table's shadows bucketed by collider set, their profiles
     once a bucket is first checked, and the verdicts per signature."""
 
-    __slots__ = ("graph", "pos", "edges", "pairs", "tmask", "pmask", "shift", "sel", "want",
+    __slots__ = ("labels", "pos", "edges", "pairs", "tmask", "pmask", "shift", "sel", "want",
                  "keys", "slots", "orient", "smap", "vmap", "buckets", "profiles", "memo")
 
-    def __init__(self, ctx: DecompositionContext, side: int, table: ShadowTable):
-        g = ctx.side_graph(side)
-        if table._skeleton != (g.vertices, g.skeleton_edges()):
+    def __init__(self, cut: _Cut, side: int, table: ShadowTable):
+        labels, pairs, pos = cut.side(side)
+        edges = [(labels[i], labels[k]) for i, k in pairs]
+        if table._skeleton != (labels, tuple(edges)):
             raise GraphInputError(f"side-{side} table does not live on the bag boundary graph")
-        labels, aidx, n = ctx.a_graph.vertices, ctx.a_graph._index, ctx.a_graph.n
-        where = {}
-        for j, (i, k) in enumerate(ctx.a_pairs):
-            where[labels[i], labels[k]] = j
-        # both numberings list a pair's ends in label order, so a trit reads
-        # the same in either
-        fl, nf = table.labels, len(table.labels)
-        found = sorted((where[fl[i], fl[k]], jf, i, k) for jf, i, k in table.edges)
-        self.graph = g
-        self.pos = [j for j, _, _, _ in found]
-        self.edges = [(fl[i], fl[k]) for _, _, i, k in found]
-        self.pairs = [(g._index[u], g._index[v]) for u, v in self.edges]
-        self.tmask = sum(3 << 2 * j for j in self.pos)
-        self.pmask = sum(1 << j for j in self.pos)
-        self.shift = 2 * len(ctx.a_pairs)
-        # the frame's slots and vertices, and the side's edges, as the
-        # a-graph numbers them
-        self.vmap = {}
+        self.labels, self.pairs, self.pos, self.edges = labels, pairs, pos, edges
+        self.tmask = sum(3 << 2 * j for j in pos)
+        self.pmask = sum(1 << j for j in pos)
+        self.shift = 2 * len(cut.a_pairs)
+        # the table's domain and its edges are the side's, in the same
+        # order, and both list a pair's ends in label order, so a trit
+        # reads the same in either; the frame's vertices, slots and edge
+        # positions as the a-graph numbers them
+        n, nf = len(cut.a_labels), len(table.labels)
+        self.vmap = dict(zip(table.inside, cut.domains[side - 1]))
         self.smap = {}
         self.orient = []
-        for j, jf, i, k in found:
-            u, v = fl[i], fl[k]
-            ai, ak = self.vmap[i], self.vmap[k] = aidx[u], aidx[v]
+        for j, (jf, i, k), (u, v) in zip(pos, table.edges, edges):
+            ai, ak = self.vmap[i], self.vmap[k]
             self.smap[i * nf + k] = ai * n + ak
             self.smap[k * nf + i] = ak * n + ai
             fwd = (u, v, ai * n + ak, ak * n + ai, ai, ak, j)
             back = (v, u, ak * n + ai, ai * n + ak, ak, ai, j)
             self.orient.append((2 * jf, fwd, back))
-        skel = [0] * g.n
-        for i, k in self.pairs:
-            skel[i] |= 1 << k
-            skel[k] |= 1 << i
         # triple t is a collider when both its edges point into its middle
         # vertex: trit 1 on an edge whose pair lists the tail first, else 2;
         # read at a-graph positions in signatures, at frame positions in keys
         self.sel, self.want = [], []
         fsel, fwant = [], []
-        for a, wa, c, wc in zip(*_collider_triples(g.n, self.pairs, skel)):
+        m = len(labels)
+        for a, wa, c, wc in zip(*_collider_triples(m, pairs, _code_rows(m, pairs, 0))):
             for sel, want, ja, jc in (
-                (self.sel, self.want, 2 * self.pos[a], 2 * self.pos[c]),
-                (fsel, fwant, 2 * found[a][1], 2 * found[c][1]),
+                (self.sel, self.want, 2 * pos[a], 2 * pos[c]),
+                (fsel, fwant, 2 * table.edges[a][0], 2 * table.edges[c][0]),
             ):
                 sel.append(3 << ja | 3 << jc)
                 want.append((2 - wa) << ja | (2 - wc) << jc)
@@ -336,7 +362,7 @@ def _sub_pdag_from_signature(side: _Side, sig: int) -> Pdag:
     compact = 0
     for k, j in enumerate(side.pos):
         compact |= ((sig >> 2 * j) & 3) << 2 * k
-    return _pdag_from_code(side.graph, side.pairs, compact)
+    return _pdag_on(side.labels, side.pairs, compact)
 
 
 def _struct_ok_profiled(sub: Pdag, prot: int, prof: _ShadowProfile) -> bool:
@@ -402,19 +428,20 @@ def _side_checks(side: _Side, sig: int) -> list:
     return ok
 
 
-def extensions(ctx: DecompositionContext, candidates, F1: ShadowTable, F2: ShadowTable):
+def extensions(cut: _Cut, candidates, F1: ShadowTable, F2: ShadowTable):
     """Every extension among ``candidates`` x ``F1`` x ``F2``.
 
-    ``candidates`` are rows ``(code, protected)`` of partial MECs on
-    ``ctx.a_graph``, as :func:`shadow.partial_mec_codes` gives them; ``F1``
-    and ``F2`` are tables on the side boundary graphs.  Yields ``(code, i,
+    ``cut`` is a computed cut or a :class:`DecompositionContext`.
+    ``candidates`` are rows ``(code, protected)`` of partial MECs on its
+    a-graph, as :func:`shadow.partial_mec_codes` gives them; ``F1`` and
+    ``F2`` are tables on the side boundary graphs.  Yields ``(code, i,
     j, p1, p2)`` for each candidate that extends the ``i``-th shadow of
     ``F1`` and the ``j``-th of ``F2`` (in table order), with ``p1`` and
     ``p2`` the derived path rows of the three over all the a-graph's slots
     (see ``tfp``), in candidate order, then ``i``, then ``j``.
     """
-    side1 = _Side(ctx, 1, F1)
-    side2 = _Side(ctx, 2, F2)
+    side1 = _Side(cut, 1, F1)
+    side2 = _Side(cut, 2, F2)
     for code, prot in candidates:
         ok1 = _side_checks(side1, boundary_signature(side1, code, prot))
         if not ok1:
@@ -422,7 +449,7 @@ def extensions(ctx: DecompositionContext, candidates, F1: ShadowTable, F2: Shado
         ok2 = _side_checks(side2, boundary_signature(side2, code, prot))
         if not ok2:
             continue
-        base = _boundary_closure(ctx, code)
+        base = _boundary_closure(cut, code)
         for i in ok1:
             prof1 = side1.profiles[i]
             for j in ok2:
@@ -435,7 +462,7 @@ def candidate_of(ctx: DecompositionContext, o: Pdag) -> tuple[int, int]:
     """The row ``(code, protected)`` of the boundary graph ``o``, as
     :func:`shadow.partial_mec_codes` gives it."""
     prot = protected_edges(o)
-    labels = ctx.a_graph.vertices
+    labels = ctx.a_labels
     code = _code_of_pdag(o, labels, [(j, i, k) for j, (i, k) in enumerate(ctx.a_pairs)])
     mask = 0
     for j, (i, k) in enumerate(ctx.a_pairs):

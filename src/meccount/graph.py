@@ -78,7 +78,8 @@ class Pdag:
 
     @classmethod
     def _from_matrix(cls, labels: tuple[Label, ...], adj: np.ndarray) -> "Pdag":
-        """Trusted constructor: ``labels`` sorted, ``adj`` loop-free."""
+        """Trusted constructor: ``labels`` sorted, ``adj`` loop-free (and
+        symmetric for an :class:`UndirectedGraph`)."""
         self = object.__new__(cls)
         self._labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
@@ -190,6 +191,14 @@ class Pdag:
         hit = sk[idx].any(axis=0)
         return frozenset(self._labels[i] for i in np.nonzero(hit)[0].tolist())
 
+    def neighbor_sets(self) -> dict:
+        """The skeleton as a fresh set of neighbors per vertex."""
+        nbrs: dict = {v: set() for v in self._labels}
+        for u, v in self.skeleton_edges():
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return nbrs
+
     def closed_neighborhood(self, X) -> frozenset:
         xs = _as_vertex_set(self, X)
         return frozenset(xs) | self.neighbors(xs)
@@ -275,12 +284,6 @@ class UndirectedGraph(Pdag):
     def __init__(self, vertices: Iterable[Label] = (), edges: Iterable[Edge] = ()):
         super().__init__(vertices=vertices, undirected=edges)
 
-    @classmethod
-    def _from_matrix(cls, labels, adj) -> "UndirectedGraph":
-        if not np.array_equal(adj, adj.T):
-            raise GraphInputError("matrix for an undirected graph must be symmetric")
-        return super()._from_matrix(labels, adj)
-
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self.undirected_edges()
@@ -329,6 +332,12 @@ class UndirectedGraph(Pdag):
                 if u != w and not sk[self._index[u], wi]:
                     return False
         return True
+
+
+def _graph_on(labels: tuple, pairs) -> UndirectedGraph:
+    """The graph on ``labels`` with an edge ``labels[i] - labels[k]`` for
+    each index pair ``(i, k)`` of ``pairs``."""
+    return UndirectedGraph(labels, [(labels[i], labels[k]) for i, k in pairs])
 
 
 def markov_union(graphs: Sequence[Pdag]) -> Pdag:

@@ -245,7 +245,12 @@ def _code_rows(n: int, pairs, code: int) -> list[int]:
 def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
     """The graph over ``U``'s vertices that ``code`` marks on ``pairs`` (see
     :func:`_code_rows`)."""
-    n = U.n
+    return _pdag_on(U.vertices, pairs, code)
+
+
+def _pdag_on(labels: tuple, pairs, code: int) -> Pdag:
+    """:func:`_pdag_from_code` over the sorted ``labels``."""
+    n = len(labels)
     # row u's bit v is bit u * n + v of one numeral; a guard bit above the
     # n * n cells keeps its leading zeros, and reading the digits backwards
     # without it lists the cells in order
@@ -255,7 +260,7 @@ def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
     cells = format(flat, "b")[:0:-1].encode().translate(_DIGIT_BYTES)
     # read-only from the start, so the graph keeps it without a copy
     adj = np.frombuffer(cells, dtype=bool).reshape(n, n)
-    return Pdag._from_matrix(U.vertices, adj)
+    return Pdag._from_matrix(labels, adj)
 
 
 def _code_of_pdag(P: Pdag, labels, edges) -> int:

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from . import _kernels
 from .errors import GraphInputError, PreconditionError
-from .graph import Pdag, UndirectedGraph, label_key
+from .graph import Pdag, UndirectedGraph, _graph_on, label_key
 from .mecrules import (
     _check_edge_cap,
     _code_of_pdag,
@@ -119,8 +119,7 @@ class ShadowTable:
 
     @cached_property
     def frame(self) -> Pdag:
-        labels = self.labels
-        return UndirectedGraph(labels, [(labels[i], labels[k]) for i, k in self.pairs])
+        return _graph_on(self.labels, self.pairs)
 
     @cached_property
     def domain(self) -> Pdag:

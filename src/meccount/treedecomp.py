@@ -111,10 +111,7 @@ def tree_decomposition(
     if U.n == 0:
         return TreeDecomposition(bags={0: frozenset()}, tree_edges=frozenset(), root=0)
 
-    adj: dict = {v: set() for v in U.vertices}
-    for a, b in U.skeleton_edges():
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = U.neighbor_sets()
     fill = heuristic == "min_fill"
     score_of = _fill_count if fill else _degree
     score = {v: score_of(adj, v) for v in adj}

@@ -313,16 +313,16 @@ class TestClosedFormsAtScale:
         assert 0 < enumerations(400) <= enumerations(100)
 
     def test_longer_path_builds_no_more_contexts(self, monkeypatch):
-        # a replayed cut builds no decomposition context, and its a-graph
-        # Pdag comes only with one
+        # a replayed cut is not set up for the glue: only a cut whose plan
+        # is computed gets its index record
         built = []
-        real = counting.DecompositionContext
+        real = counting._Cut
 
         def counted(*args, **kwargs):
             built.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(counting, "DecompositionContext", counted)
+        monkeypatch.setattr(counting, "_Cut", counted)
 
         def contexts(n):
             built.clear()
@@ -336,13 +336,13 @@ class TestClosedFormsAtScale:
         # the fold runs on labels in decomposition order, so a cut's index
         # pairs, and whether it replays, do not depend on the input's labels
         built = []
-        real = counting.DecompositionContext
+        real = counting._Cut
 
         def counted(*args, **kwargs):
             built.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(counting, "DecompositionContext", counted)
+        monkeypatch.setattr(counting, "_Cut", counted)
         n, rng = 200, random.Random(80)
         perm = list(range(n))
         rng.shuffle(perm)
@@ -372,6 +372,21 @@ class TestClosedFormsAtScale:
         assert [td.vertices() for _, td in runs] == list(comps)
         for (_, td), comp in zip(runs, comps):
             assert validate_td(G.induced_subgraph(comp), td)
+
+    def test_no_large_graph_is_sliced(self, monkeypatch):
+        # the fold reads the input only as neighbour sets: every graph it
+        # slices is a small one, never the whole path
+        sizes = []
+        real = Pdag.induced_subgraph
+
+        def recorded(self, S):
+            sizes.append(self.n)
+            return real(self, S)
+
+        monkeypatch.setattr(Pdag, "induced_subgraph", recorded)
+        G = _rotated(400, workloads.path_edges(400), random.Random(77))
+        assert count_mecs(G) == workloads.fibonacci(400)
+        assert max(sizes, default=0) <= 16
 
     def test_every_cut_checks_its_split(self, monkeypatch):
         # replayed cuts too: one check per tree edge of the decomposition

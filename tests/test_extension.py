@@ -28,6 +28,7 @@ from meccount.extension import (
     _sub_pdag_from_signature,
     boundary_signature,
     candidate_of,
+    extensions,
     protected_edges,
 )
 from meccount.graph import label_key
@@ -281,6 +282,21 @@ class TestIntegerSidePieces:
                     for mask, idxs in side.buckets.items():
                         for i in idxs:
                             assert seen[shadows[i].o] == mask
+
+
+    def test_side_table_off_its_boundary_graph_is_rejected(self):
+        H = UndirectedGraph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+        ctx = DecompositionContext(
+            h=H, h1={"a", "b", "c"}, h2={"c", "d"}, s1={"b", "c"}, s2={"c", "d"}
+        )
+        rows = partial_mec_codes(ctx.a_graph)
+        F1, F2 = ShadowTable(ctx.b1_graph), ShadowTable(ctx.b2_graph)
+        assert list(extensions(ctx, rows, F1, F2)) == []
+        # the other side's graph, and the right vertices with an edge missing
+        missing = ShadowTable(UndirectedGraph(vertices="abc", edges=[("a", "b")]))
+        for bad1, bad2 in ((F2, F2), (missing, F2), (F1, F1), (F1, ShadowTable(Pdag("cd")))):
+            with pytest.raises(GraphInputError):
+                list(extensions(ctx, rows, bad1, bad2))
 
 
 def _protected_of(side, sig):
