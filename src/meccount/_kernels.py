@@ -15,6 +15,15 @@ Graph encoding shared by every kernel:
 Orientations are encoded as ``m``-bit masks (bit ``j`` set means the edge is
 directed ``eu[j] -> ev[j]``).  Three-way marks are "trit codes": two bits
 per edge, ``0`` undirected, ``1`` for ``eu->ev``, ``2`` for ``ev->eu``.
+
+Both searches decide one edge per depth and keep, per depth ``d``, a row
+per vertex of what it reaches under the first ``d`` decisions
+(``desc``/``reach[d * n + v]``).  A push fills depth ``d + 1`` in one
+O(n) pass and a pop costs nothing, so each search node tests its new edge
+with a few bit operations instead of walking the partial graph.
+``mark_codes`` relies on every partial graph it keeps being a chain graph:
+there, two vertices share an undirected component exactly when each
+reaches the other, so its reach rows also answer the component question.
 """
 
 from __future__ import annotations
@@ -46,52 +55,6 @@ def check_bitset_capacity(n: int, m: int) -> None:
             f"{MAX_TRIT_EDGES}",
             limit=MAX_TRIT_EDGES,
         )
-
-
-def _uclose(und, S):
-    # closure of the bit-set S over undirected adjacency rows
-    while True:
-        T = S
-        for i in range(len(und)):
-            if (S >> i) & 1:
-                T |= und[i]
-        if T == S:
-            return S
-        S = T
-
-
-def _reach_fwd(und, out, s, t):
-    # is t reachable from s along forward edges (paths of length >= 1)?
-    S = und[s] | out[s]
-    while True:
-        T = S
-        for i in range(len(und)):
-            if (S >> i) & 1:
-                T |= und[i] | out[i]
-        if T == S:
-            break
-        S = T
-    return (S >> t) & 1 != 0
-
-
-def _dreach(und, out, s, t):
-    # reachable from s by a forward walk using at least one directed edge
-    n = len(und)
-    A = _uclose(und, 1 << s)
-    F = 0
-    for i in range(n):
-        if (A >> i) & 1:
-            F |= out[i]
-    B = 0
-    newB = _uclose(und, F)
-    while newB != B:
-        B = newB
-        F = B
-        for i in range(n):
-            if (B >> i) & 1:
-                F |= out[i]
-        newB = _uclose(und, B | F)
-    return (B >> t) & 1 != 0
 
 
 def chordal_bits(n: int, und) -> bool:
@@ -233,104 +196,89 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     strongly protected directed edges (bit ``j`` for edge ``j``)."""
     # depth-first enumeration of edge-mark assignments that give a chain
     # graph with chordal undirected components and no induced x->y-w; with
-    # require_protection also every directed edge protected.  Partial
-    # assignments are pruned as soon as the assigned part alone certifies a
-    # violation; chordality is decided at the leaves.
+    # require_protection also every directed edge protected.  A mark is cut
+    # as soon as the assigned part alone certifies a violation; chordality
+    # and protection are decided at the leaves.
+    #
+    # Every partial graph the search keeps is a chain graph (no cycle
+    # through a directed edge), and reach[d * n + v] is the set of vertices
+    # v reaches under the first d marks, along directed edges forwards and
+    # undirected edges either way, v included.  In a chain graph a forward
+    # path within an undirected component has no directed edge (it would
+    # close a cycle with the way back), and one between two components has
+    # one; so u and v share a component exactly when each reaches the
+    # other.  Hence x -> y closes a cycle exactly when y reaches x, and
+    # u - v exactly when one of u, v reaches the other but not back.  A
+    # kept mark fills depth d + 1 in one pass: whoever reaches its tail (x,
+    # or u or v) now reaches what its head reaches (y's row, or u's and
+    # v's together); und/out/inb are undone when the search backs up.
     m = len(eu)
-    mark = [0] * m
     trial = [0] * (m + 1)
+    code = [0] * (m + 1)
     und = [0] * n
     out = [0] * n
     inb = [0] * n
+    arcs = []  # (j, x, y) for each directed mark x -> y, in edge order
+    reach = [0] * ((m + 1) * n)
+    for v in range(n):
+        reach[v] = 1 << v
     codes = []
     d = 0
-    while True:
-        if d == m:
-            ok = chordal_bits(n, und)
+    while d >= 0:
+        if d < m and trial[d] < 3:
+            t = trial[d]
+            trial[d] = t + 1
+            u, v = eu[d], ev[d]
+            row = d * n
+            if t == 0:
+                if inb[u] & ~skel[v] & ~(1 << v) or inb[v] & ~skel[u] & ~(1 << u):
+                    continue
+                ru = reach[row + u]
+                rv = reach[row + v]
+                if ((ru >> v) ^ (rv >> u)) & 1:
+                    continue
+                tail = (1 << u) | (1 << v)
+                head = ru | rv
+                und[u] |= 1 << v
+                und[v] |= 1 << u
+            else:
+                x, y = (u, v) if t == 1 else (v, u)
+                if und[y] & ~skel[x] & ~(1 << x):
+                    continue
+                head = reach[row + y]
+                if (head >> x) & 1:
+                    continue
+                tail = 1 << x
+                out[x] |= 1 << y
+                inb[y] |= 1 << x
+                arcs.append((d, x, y))
+            reach[row + n : row + 2 * n] = [
+                r | head if r & tail else r for r in reach[row : row + n]
+            ]
+            code[d + 1] = code[d] | t << 2 * d
+            d += 1
+            trial[d] = 0
+            continue
+        if d == m and chordal_bits(n, und):
             prot = 0
-            if ok:
-                for j in range(m):
-                    if mark[j] == 1:
-                        x, y = eu[j], ev[j]
-                    elif mark[j] == 2:
-                        x, y = ev[j], eu[j]
-                    else:
-                        continue
-                    if protected(n, x, y, skel, und, out, inb):
-                        prot |= 1 << j
-                    elif require_protection:
-                        ok = False
-                        break
-            if ok:
-                code = 0
-                for j in range(m):
-                    code |= mark[j] << (2 * j)
-                codes.append((code, prot))
-            d -= 1
-            if d < 0:
-                break
-            _pop(d, mark[d], eu, ev, und, out, inb)
-            continue
-        t = trial[d]
-        if t == 3:
-            d -= 1
-            if d < 0:
-                break
-            _pop(d, mark[d], eu, ev, und, out, inb)
-            continue
-        trial[d] = t + 1
-        mark[d] = t
-        _push(d, t, eu, ev, und, out, inb)
-        if _prune(d, t, eu, ev, skel, und, out, inb):
-            _pop(d, t, eu, ev, und, out, inb)
-            continue
-        d += 1
-        trial[d] = 0
+            for j, x, y in arcs:
+                if protected(n, x, y, skel, und, out, inb):
+                    prot |= 1 << j
+                elif require_protection:
+                    break
+            else:
+                codes.append((code[m], prot))
+        d -= 1
+        if d >= 0:
+            # undo the kept mark at depth d, the last one tried there
+            u, v = eu[d], ev[d]
+            t = trial[d] - 1
+            if t == 0:
+                und[u] ^= 1 << v
+                und[v] ^= 1 << u
+            else:
+                x, y = (u, v) if t == 1 else (v, u)
+                out[x] ^= 1 << y
+                inb[y] ^= 1 << x
+                arcs.pop()
     return codes
-
-
-def _push(j, t, eu, ev, und, out, inb):
-    u, v = eu[j], ev[j]
-    if t == 0:
-        und[u] |= 1 << v
-        und[v] |= 1 << u
-    elif t == 1:
-        out[u] |= 1 << v
-        inb[v] |= 1 << u
-    else:
-        out[v] |= 1 << u
-        inb[u] |= 1 << v
-
-
-def _pop(j, t, eu, ev, und, out, inb):
-    u, v = eu[j], ev[j]
-    if t == 0:
-        und[u] &= ~(1 << v)
-        und[v] &= ~(1 << u)
-    elif t == 1:
-        out[u] &= ~(1 << v)
-        inb[v] &= ~(1 << u)
-    else:
-        out[v] &= ~(1 << u)
-        inb[u] &= ~(1 << v)
-
-
-def _prune(j, t, eu, ev, skel, und, out, inb):
-    u, v = eu[j], ev[j]
-    if t == 0:
-        if inb[u] & ~skel[v] & ~(1 << v):
-            return True
-        if inb[v] & ~skel[u] & ~(1 << u):
-            return True
-        if _dreach(und, out, u, v) or _dreach(und, out, v, u):
-            return True
-    else:
-        if t == 1:
-            x, y = u, v
-        else:
-            x, y = v, u
-        if und[y] & ~skel[x] & ~(1 << x):
-            return True
-        if _reach_fwd(und, out, y, x):
-            return True
-    return False

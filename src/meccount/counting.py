@@ -20,7 +20,7 @@ from .errors import GraphInputError, PreconditionError
 from .extension import _check_split, _Cut, _cut_frame, _induced, extensions
 from .graph import Pdag, UndirectedGraph
 from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, mec_codes
-from .shadow import ShadowTable, partial_mec_codes
+from .shadow import ShadowTable, _partial_mec_codes_on
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
@@ -138,7 +138,7 @@ def _combine_tables(F: ShadowTable, F1: ShadowTable, F2: ShadowTable, domains, m
         cut = _Cut(F.labels, F.pairs, *domains)
         rows = candidates.get(shape)
         if rows is None:
-            rows = candidates[shape] = partial_mec_codes(F.frame)
+            rows = candidates[shape] = _partial_mec_codes_on(*shape)
         plan = plans[key] = [
             (F._key(code, p1, p2), i, j) for code, i, j, p1, p2 in extensions(cut, rows, F1, F2)
         ]

@@ -182,8 +182,12 @@ def _skeleton_pairs(g: Pdag) -> list[tuple[int, int]]:
 
 def _encode(g: Pdag):
     """Kernel encoding of a skeleton: index lists and bitmask rows."""
-    n = g.n
-    pairs = _skeleton_pairs(g)
+    return _encode_on(g.n, _skeleton_pairs(g))
+
+
+def _encode_on(n: int, pairs):
+    """Kernel encoding of the skeleton on ``n`` vertices whose edges are the
+    index ``pairs``, in trit-code order."""
     _kernels.check_bitset_capacity(n, len(pairs))
     eu = [i for i, _ in pairs]
     ev = [j for _, j in pairs]

@@ -19,7 +19,7 @@ from .mecrules import (
     _check_edge_cap,
     _code_of_pdag,
     _code_rows,
-    _encode,
+    _encode_on,
     _pdag_from_code,
     _require_undirected,
     _skeleton_pairs,
@@ -232,7 +232,13 @@ def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> lis
     ``(code, protected)``, the trit code over ``U.skeleton_edges()`` in
     order and the bitmask of the strongly protected directed edges."""
     _require_undirected(U)
-    n, eu, ev, skel, pairs = _encode(U)
+    return _partial_mec_codes_on(U.n, _skeleton_pairs(U), max_edges=max_edges)
+
+
+def _partial_mec_codes_on(n: int, pairs, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> list:
+    """:func:`partial_mec_codes` of the skeleton on ``n`` vertices whose
+    edges are the index ``pairs``, in trit-code order."""
+    n, eu, ev, skel, pairs = _encode_on(n, pairs)
     _check_edge_cap(len(pairs), max_edges, "mark")
     return _kernels.mark_codes(n, eu, ev, skel, False)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from meccount import _kernels
+
 
 def edge_views(P):
     """(ordered pair set, skeleton pair set) of a package graph."""
@@ -349,3 +351,160 @@ def tree_decomposition_reference(U, heuristic="min_fill"):
         tree_edges=frozenset((remap[a], remap[b]) for a, b in edges),
         root=0,
     )
+
+
+def mark_codes_reference(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int, int]]:
+    """``_kernels.mark_codes`` as it was before its per-depth reach rows:
+    every partial assignment is pushed onto undirected/outgoing/incoming
+    bitmask rows and tested by walking the whole partial graph to a
+    fixpoint.  The leaf checks are the kernel's own ``chordal_bits`` and
+    ``protected``."""
+    # depth-first enumeration of edge-mark assignments that give a chain
+    # graph with chordal undirected components and no induced x->y-w; with
+    # require_protection also every directed edge protected.  Partial
+    # assignments are pruned as soon as the assigned part alone certifies a
+    # violation; chordality is decided at the leaves.
+    m = len(eu)
+    mark = [0] * m
+    trial = [0] * (m + 1)
+    und = [0] * n
+    out = [0] * n
+    inb = [0] * n
+    codes = []
+    d = 0
+    while True:
+        if d == m:
+            ok = _kernels.chordal_bits(n, und)
+            prot = 0
+            if ok:
+                for j in range(m):
+                    if mark[j] == 1:
+                        x, y = eu[j], ev[j]
+                    elif mark[j] == 2:
+                        x, y = ev[j], eu[j]
+                    else:
+                        continue
+                    if _kernels.protected(n, x, y, skel, und, out, inb):
+                        prot |= 1 << j
+                    elif require_protection:
+                        ok = False
+                        break
+            if ok:
+                code = 0
+                for j in range(m):
+                    code |= mark[j] << (2 * j)
+                codes.append((code, prot))
+            d -= 1
+            if d < 0:
+                break
+            _pop(d, mark[d], eu, ev, und, out, inb)
+            continue
+        t = trial[d]
+        if t == 3:
+            d -= 1
+            if d < 0:
+                break
+            _pop(d, mark[d], eu, ev, und, out, inb)
+            continue
+        trial[d] = t + 1
+        mark[d] = t
+        _push(d, t, eu, ev, und, out, inb)
+        if _prune(d, t, eu, ev, skel, und, out, inb):
+            _pop(d, t, eu, ev, und, out, inb)
+            continue
+        d += 1
+        trial[d] = 0
+    return codes
+
+
+def _push(j, t, eu, ev, und, out, inb):
+    u, v = eu[j], ev[j]
+    if t == 0:
+        und[u] |= 1 << v
+        und[v] |= 1 << u
+    elif t == 1:
+        out[u] |= 1 << v
+        inb[v] |= 1 << u
+    else:
+        out[v] |= 1 << u
+        inb[u] |= 1 << v
+
+
+def _pop(j, t, eu, ev, und, out, inb):
+    u, v = eu[j], ev[j]
+    if t == 0:
+        und[u] &= ~(1 << v)
+        und[v] &= ~(1 << u)
+    elif t == 1:
+        out[u] &= ~(1 << v)
+        inb[v] &= ~(1 << u)
+    else:
+        out[v] &= ~(1 << u)
+        inb[u] &= ~(1 << v)
+
+
+def _prune(j, t, eu, ev, skel, und, out, inb):
+    u, v = eu[j], ev[j]
+    if t == 0:
+        if inb[u] & ~skel[v] & ~(1 << v):
+            return True
+        if inb[v] & ~skel[u] & ~(1 << u):
+            return True
+        if _dreach(und, out, u, v) or _dreach(und, out, v, u):
+            return True
+    else:
+        if t == 1:
+            x, y = u, v
+        else:
+            x, y = v, u
+        if und[y] & ~skel[x] & ~(1 << x):
+            return True
+        if _reach_fwd(und, out, y, x):
+            return True
+    return False
+
+
+def _uclose(und, S):
+    # closure of the bit-set S over undirected adjacency rows
+    while True:
+        T = S
+        for i in range(len(und)):
+            if (S >> i) & 1:
+                T |= und[i]
+        if T == S:
+            return S
+        S = T
+
+
+def _reach_fwd(und, out, s, t):
+    # is t reachable from s along forward edges (paths of length >= 1)?
+    S = und[s] | out[s]
+    while True:
+        T = S
+        for i in range(len(und)):
+            if (S >> i) & 1:
+                T |= und[i] | out[i]
+        if T == S:
+            break
+        S = T
+    return (S >> t) & 1 != 0
+
+
+def _dreach(und, out, s, t):
+    # reachable from s by a forward walk using at least one directed edge
+    n = len(und)
+    A = _uclose(und, 1 << s)
+    F = 0
+    for i in range(n):
+        if (A >> i) & 1:
+            F |= out[i]
+    B = 0
+    newB = _uclose(und, F)
+    while newB != B:
+        B = newB
+        F = B
+        for i in range(n):
+            if (B >> i) & 1:
+                F |= out[i]
+        newB = _uclose(und, B | F)
+    return (B >> t) & 1 != 0

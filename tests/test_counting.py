@@ -296,13 +296,13 @@ class TestClosedFormsAtScale:
         # a cut that repeats an earlier one replays its glue plan instead of
         # enumerating the boundary candidates again
         calls = []
-        real = counting.partial_mec_codes
+        real = counting._partial_mec_codes_on
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(counting, "partial_mec_codes", counted)
+        monkeypatch.setattr(counting, "_partial_mec_codes_on", counted)
 
         def enumerations(n):
             calls.clear()
@@ -406,20 +406,33 @@ class TestClosedFormsAtScale:
     def test_no_boundary_shape_is_enumerated_twice(self, monkeypatch):
         # within one count, the candidates of an a-graph shape are
         # enumerated once, even when the cuts' plans differ
-        from meccount.mecrules import _skeleton_pairs
-
         shapes = []
-        real = counting.partial_mec_codes
+        real = counting._partial_mec_codes_on
 
-        def recorded(U, **kwargs):
-            shapes.append((U.n, tuple(_skeleton_pairs(U))))
-            return real(U, **kwargs)
+        def recorded(n, pairs, **kwargs):
+            shapes.append((n, tuple(pairs)))
+            return real(n, pairs, **kwargs)
 
-        monkeypatch.setattr(counting, "partial_mec_codes", recorded)
+        monkeypatch.setattr(counting, "_partial_mec_codes_on", recorded)
         rng = random.Random(79)
         for n in (60, 120):
             edges = workloads.random_tree_edges(n, 3, rng)
             shapes.clear()
             assert count_mecs(_rotated(n, edges, rng)) == workloads.tree_count(edges, n)
             assert shapes and len(set(shapes)) == len(shapes)
+
+    def test_count_never_builds_a_frame_graph(self, monkeypatch):
+        # the fold hands the kernel the glued table's labels and pairs, so
+        # no cut builds the a-graph as a Pdag
+        def unread(self):
+            raise AssertionError("the fold read ShadowTable.frame")
+
+        # a table made from a graph (a leaf's) still sets it
+        monkeypatch.setattr(ShadowTable, "frame", property(unread, lambda self, graph: None))
+        rng = random.Random(80)
+        assert count_mecs(_rotated(100, workloads.path_edges(100), rng)) == workloads.fibonacci(100)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        G = UndirectedGraph(edges=[(perm[u], perm[v]) for u, v in workloads.ladder_edges(6)])
+        assert count_mecs(G) == workloads.PINNED["ladder2x6"]
 

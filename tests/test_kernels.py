@@ -21,7 +21,7 @@ from meccount.mecrules import (
 )
 
 import oracles
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, grid, ladder, random_connected_graph
 
 
 class TestKernelSemantics:
@@ -133,3 +133,38 @@ class TestAcyclicMasksAgainstReference:
             hi = rng.randint(lo, 1 << m)
             got = _kernels.acyclic_masks(n, eu, ev, lo, hi)
             assert got == oracles.acyclic_masks_reference(n, eu, ev, lo, hi)
+
+
+class TestMarkCodesAgainstReference:
+    # the kernel's per-depth reach rows must cut exactly the search nodes
+    # the reference's whole-graph walks cut: same rows, same order
+    FIXED = [
+        (UndirectedGraph(vertices=range(3)), (False, True)),
+        (UndirectedGraph(edges=[(0, 1), (1, 2), (0, 2)]), (False, True)),
+        (UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)]), (False, True)),
+        (UndirectedGraph(edges=[(i, j) for i in range(4) for j in range(i + 1, 4)]), (False, True)),
+        (UndirectedGraph(edges=[(0, k) for k in range(1, 6)]), (False, True)),
+        (grid(3, 3), (False, True)),  # m = 12, the filter route's cap
+        (ladder(6), (False,)),  # m = 16, a boundary the engine enumerates
+    ]
+
+    @pytest.mark.parametrize("G, modes", FIXED)
+    def test_fixed_graphs(self, G, modes):
+        n, eu, ev, skel, pairs = _encode(G)
+        for require_protection in modes:
+            got = _kernels.mark_codes(n, eu, ev, skel, require_protection)
+            assert got == oracles.mark_codes_reference(n, eu, ev, skel, require_protection)
+
+    @pytest.mark.parametrize("require_protection", [False, True])
+    def test_random_graphs(self, require_protection):
+        rng = random.Random(76)
+        done = 0
+        while done < 300:
+            G = random_connected_graph(rng, rng.randint(2, 8))
+            n, eu, ev, skel, pairs = _encode(G)
+            if len(pairs) > 11:
+                continue
+            done += 1
+            got = _kernels.mark_codes(n, eu, ev, skel, require_protection)
+            ref = oracles.mark_codes_reference(n, eu, ev, skel, require_protection)
+            assert got == ref, G.edges
