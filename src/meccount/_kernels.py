@@ -24,6 +24,9 @@ with a few bit operations instead of walking the partial graph.
 ``mark_codes`` relies on every partial graph it keeps being a chain graph:
 there, two vertices share an undirected component exactly when each
 reaches the other, so its reach rows also answer the component question.
+It decides each directed edge's protection at the depth where the last edge
+touching either endpoint is marked (only chordality waits for the leaves),
+so the filter search cuts an unprotected arc there.
 """
 
 from __future__ import annotations
@@ -198,7 +201,11 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     # graph with chordal undirected components and no induced x->y-w; with
     # require_protection also every directed edge protected.  A mark is cut
     # as soon as the assigned part alone certifies a violation; chordality
-    # and protection are decided at the leaves.
+    # is decided at the leaves.  Whether x -> y is protected depends only on
+    # the marks of edges at x or y, and a witness never disappears, so it is
+    # final once the last of those is marked: due[d] lists the edges whose
+    # last one is edge d, and a kept mark tests them and ORs the answers into
+    # prot[d + 1] (an unprotected arc cuts the branch with require_protection).
     #
     # Every partial graph the search keeps is a chain graph (no cycle
     # through a directed edge), and reach[d * n + v] is the set of vertices
@@ -213,18 +220,22 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     # or u or v) now reaches what its head reaches (y's row, or u's and
     # v's together); und/out/inb are undone when the search backs up.
     m = len(eu)
+    last = {w: j for j in range(m) for w in (eu[j], ev[j])}
+    due = [[] for _ in range(m)]
+    for j in range(m):
+        due[max(last[eu[j]], last[ev[j]])].append((2 * j, eu[j], ev[j]))
     trial = [0] * (m + 1)
     code = [0] * (m + 1)
+    prot = [0] * (m + 1)
     und = [0] * n
     out = [0] * n
     inb = [0] * n
-    arcs = []  # (j, x, y) for each directed mark x -> y, in edge order
     reach = [0] * ((m + 1) * n)
     for v in range(n):
         reach[v] = 1 << v
     codes = []
     d = 0
-    while d >= 0:
+    while True:
         if d < m and trial[d] < 3:
             t = trial[d]
             trial[d] = t + 1
@@ -251,34 +262,39 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
                 tail = 1 << x
                 out[x] |= 1 << y
                 inb[y] |= 1 << x
-                arcs.append((d, x, y))
-            reach[row + n : row + 2 * n] = [
-                r | head if r & tail else r for r in reach[row : row + n]
-            ]
-            code[d + 1] = code[d] | t << 2 * d
-            d += 1
-            trial[d] = 0
-            continue
-        if d == m and chordal_bits(n, und):
-            prot = 0
-            for j, x, y in arcs:
-                if protected(n, x, y, skel, und, out, inb):
-                    prot |= 1 << j
-                elif require_protection:
-                    break
+            c = code[d] | t << 2 * d
+            p = prot[d]
+            for s, a, b in due[d]:
+                tj = c >> s & 3
+                if tj:
+                    x, y = (a, b) if tj == 1 else (b, a)
+                    if protected(n, x, y, skel, und, out, inb):
+                        p |= 1 << (s >> 1)
+                    elif require_protection:
+                        break
             else:
-                codes.append((code[m], prot))
-        d -= 1
-        if d >= 0:
-            # undo the kept mark at depth d, the last one tried there
-            u, v = eu[d], ev[d]
-            t = trial[d] - 1
-            if t == 0:
-                und[u] ^= 1 << v
-                und[v] ^= 1 << u
-            else:
-                x, y = (u, v) if t == 1 else (v, u)
-                out[x] ^= 1 << y
-                inb[y] ^= 1 << x
-                arcs.pop()
+                reach[row + n : row + 2 * n] = [
+                    r | head if r & tail else r for r in reach[row : row + n]
+                ]
+                code[d + 1] = c
+                prot[d + 1] = p
+                d += 1
+                trial[d] = 0
+                continue
+        else:
+            if d == m and chordal_bits(n, und):
+                codes.append((code[m], prot[m]))
+            d -= 1
+            if d < 0:
+                break
+        # undo the mark kept at depth d, the last one tried there
+        u, v = eu[d], ev[d]
+        t = trial[d] - 1
+        if t == 0:
+            und[u] ^= 1 << v
+            und[v] ^= 1 << u
+        else:
+            x, y = (u, v) if t == 1 else (v, u)
+            out[x] ^= 1 << y
+            inb[y] ^= 1 << x
     return codes

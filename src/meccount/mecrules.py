@@ -5,7 +5,7 @@ cross-check each other and the treewidth engine:
 
 * the orientation route enumerates every acyclic orientation of a skeleton
   and deduplicates by collider (v-structure) set;
-* the filter route enumerates every three-way edge-mark assignment and keeps
+* the filter route searches the three-way edge-mark assignments and keeps
   those passing the chain/chordal/protection characterization of a class
   representative graph.
 """
@@ -98,15 +98,9 @@ def is_chain_graph(P: Pdag) -> bool:
     return seen == len(succ)
 
 
-def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)`` of the strongly protected edges ``i -> j``.
-
-    The four witnesses for ``u -> v``: some ``w -> u`` with ``w`` and ``v``
-    non-adjacent; some ``w -> v`` with ``w != u`` non-adjacent to ``u``; a
-    directed detour ``u -> w -> v``; or two non-adjacent ``w - u``, ``w' - u``
-    neighbors with ``w -> v`` and ``w' -> v``.  Tested by the kernel that
-    the class enumeration uses, on bitmask rows.
-    """
+def _protection_rows(P: Pdag):
+    """``P`` as the protection kernel's bitmask rows ``skel, und, out, inb``
+    and its directed edges as index pairs."""
     n = P.n
     und, out, inb = [0] * n, [0] * n, [0] * n
     ii, jj = np.nonzero(P.adjacency)
@@ -120,7 +114,20 @@ def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
             inb[j] |= 1 << i
             directed.append((i, j))
     skel = [a | b | c for a, b, c in zip(und, out, inb)]
-    return [(i, j) for i, j in directed if _kernels.protected(n, i, j, skel, und, out, inb)]
+    return (skel, und, out, inb), directed
+
+
+def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of the strongly protected edges ``i -> j``.
+
+    The four witnesses for ``u -> v``: some ``w -> u`` with ``w`` and ``v``
+    non-adjacent; some ``w -> v`` with ``w != u`` non-adjacent to ``u``; a
+    directed detour ``u -> w -> v``; or two non-adjacent ``w - u``, ``w' - u``
+    neighbors with ``w -> v`` and ``w' -> v``.  Tested by the kernel that
+    the class enumeration uses, on bitmask rows.
+    """
+    rows, directed = _protection_rows(P)
+    return [(i, j) for i, j in directed if _kernels.protected(P.n, i, j, *rows)]
 
 
 def is_strongly_protected(P: Pdag, e: Edge) -> bool:
@@ -128,7 +135,8 @@ def is_strongly_protected(P: Pdag, e: Edge) -> bool:
     u, v = e
     if not P.has_directed(u, v):
         raise GraphInputError(f"({u!r}, {v!r}) is not a directed edge")
-    return (P._index[u], P._index[v]) in _protected_pairs(P)
+    rows, _ = _protection_rows(P)
+    return _kernels.protected(P.n, P._index[u], P._index[v], *rows)
 
 
 def _no_flag_pattern(P: Pdag) -> bool:
@@ -352,8 +360,9 @@ def brute_count_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> in
 def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -> int:
     """Number of mark assignments over ``U`` passing :func:`is_mec`.
 
-    Independent of the orientation route: enumerates all three-way edge
-    marks directly and filters by the characterization.
+    Independent of the orientation route: a depth-first search over
+    three-way edge marks that keeps exactly the assignments meeting the
+    characterization, cutting a branch as soon as its marks violate it.
     """
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)

@@ -354,11 +354,12 @@ def tree_decomposition_reference(U, heuristic="min_fill"):
 
 
 def mark_codes_reference(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int, int]]:
-    """``_kernels.mark_codes`` as it was before its per-depth reach rows:
-    every partial assignment is pushed onto undirected/outgoing/incoming
-    bitmask rows and tested by walking the whole partial graph to a
-    fixpoint.  The leaf checks are the kernel's own ``chordal_bits`` and
-    ``protected``."""
+    """``_kernels.mark_codes`` as it was before its per-depth reach rows
+    and early protection tests: every partial assignment is pushed onto
+    undirected/outgoing/incoming bitmask rows and tested by walking the
+    whole partial graph to a fixpoint, and protection is tested only at the
+    leaves, so this is also the leaf-only protection reference.  The leaf
+    checks are the kernel's own ``chordal_bits`` and ``protected``."""
     # depth-first enumeration of edge-mark assignments that give a chain
     # graph with chordal undirected components and no induced x->y-w; with
     # require_protection also every directed edge protected.  Partial

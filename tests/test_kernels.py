@@ -136,8 +136,10 @@ class TestAcyclicMasksAgainstReference:
 
 
 class TestMarkCodesAgainstReference:
-    # the kernel's per-depth reach rows must cut exactly the search nodes
-    # the reference's whole-graph walks cut: same rows, same order
+    # the kernel's per-depth reach rows and early protection tests must
+    # keep exactly the rows the reference's whole-graph walks and leaf-only
+    # protection keep, in the same order; in filter mode the kernel cuts
+    # more search nodes (see TestMarkCodesPruning)
     FIXED = [
         (UndirectedGraph(vertices=range(3)), (False, True)),
         (UndirectedGraph(edges=[(0, 1), (1, 2), (0, 2)]), (False, True)),
@@ -146,6 +148,8 @@ class TestMarkCodesAgainstReference:
         (UndirectedGraph(edges=[(0, k) for k in range(1, 6)]), (False, True)),
         (grid(3, 3), (False, True)),  # m = 12, the filter route's cap
         (ladder(6), (False,)),  # m = 16, a boundary the engine enumerates
+        (ladder(5), (False, True)),  # m = 13, past the filter route's cap
+        (UndirectedGraph(edges=[(i, (i + 1) % 5) for i in range(5)]), (False, True)),
     ]
 
     @pytest.mark.parametrize("G, modes", FIXED)
@@ -168,3 +172,28 @@ class TestMarkCodesAgainstReference:
             got = _kernels.mark_codes(n, eu, ev, skel, require_protection)
             ref = oracles.mark_codes_reference(n, eu, ev, skel, require_protection)
             assert got == ref, G.edges
+
+
+class TestMarkCodesPruning:
+    # filter mode decides each arc's protection at the depth its last
+    # incident edge is marked, so few partial classes reach the leaf's
+    # chordality test; a count, so the host's speed cannot affect it
+    CASES = [
+        (grid(3, 3), 758, 846),
+        (ladder(5), 1200, 1413),
+        (UndirectedGraph(edges=[(i, j) for i in range(4) for j in range(i + 1, 4)]), 1, 1),
+    ]
+
+    @pytest.mark.parametrize("G, classes, max_leaves", CASES, ids=["grid3x3", "ladder5", "K4"])
+    def test_leaves_reached_in_filter_mode(self, G, classes, max_leaves, monkeypatch):
+        leaves = []
+        chordal_bits = _kernels.chordal_bits
+
+        def counting(n, und):
+            leaves.append(n)
+            return chordal_bits(n, und)
+
+        monkeypatch.setattr(_kernels, "chordal_bits", counting)
+        n, eu, ev, skel, pairs = _encode(G)
+        assert len(_kernels.mark_codes(n, eu, ev, skel, True)) == classes
+        assert len(leaves) <= max_leaves
