@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GraphInputError, InternalInvariantError, PreconditionError
 from .extension import DecompositionContext
 from .graph import Label, Pdag, UndirectedGraph, label_key, markov_union
@@ -105,42 +103,40 @@ def construct_mec(
     """
     for M, side in ((M1, 1), (M2, 2)):
         half = ctx.half1 if side == 1 else ctx.half2
-        if M.vertex_set != half.vertex_set or not np.array_equal(
-            M.adjacency | M.adjacency.T, half.adjacency
-        ):
+        if M.skeleton() != half:
             raise PreconditionError(f"half-{side} input has the wrong skeleton")
         if not is_mec(M):
             raise PreconditionError(f"half-{side} input is not an MEC graph")
     merged = markov_union([M1, M2, O])
     labels = merged.vertices
-    index = {v: i for i, v in enumerate(labels)}
-    adj = merged.adjacency.copy()
+    index = merged._index
+    adj = list(merged._rows)
 
     for M in (M1, M2):
         for comp in M.undirected_components():
             comp_graph = M.induced_subgraph(comp).skeleton()
             tau = lbfs_with_o(comp_graph, O)
             u = tau.order
-            cadj = comp_graph.adjacency
+            cadj = comp_graph._rows
             cidx = comp_graph._index
             size = len(u)
             for a in range(2, size + 1):
                 for b in range(a - 1, 0, -1):
                     ua, ub = u[a - 1], u[b - 1]
                     ia, ib = index[ua], index[ub]
-                    if not (adj[ib, ia] and adj[ia, ib]):
+                    if not (adj[ib] >> ia & 1 and adj[ia] >> ib & 1):
                         continue  # needs a currently undirected ub - ua
-                    if not cadj[cidx[ub], cidx[ua]]:
+                    if not cadj[cidx[ub]] >> cidx[ua] & 1:
                         continue
                     orient = False
                     for c in range(1, b):
                         uc = u[c - 1]
                         ic = index[uc]
                         if (
-                            cadj[cidx[uc], cidx[ub]]
-                            and not cadj[cidx[uc], cidx[ua]]
-                            and adj[ic, ib]
-                            and not adj[ib, ic]
+                            cadj[cidx[uc]] >> cidx[ub] & 1
+                            and not cadj[cidx[uc]] >> cidx[ua] & 1
+                            and adj[ic] >> ib & 1
+                            and not adj[ib] >> ic & 1
                         ):
                             orient = True
                             break
@@ -149,18 +145,18 @@ def construct_mec(
                             uc = u[c - 1]
                             ic = index[uc]
                             if (
-                                cadj[cidx[ub], cidx[uc]]
-                                and cadj[cidx[uc], cidx[ua]]
-                                and adj[ib, ic]
-                                and not adj[ic, ib]
-                                and adj[ic, ia]
-                                and not adj[ia, ic]
+                                cadj[cidx[ub]] >> cidx[uc] & 1
+                                and cadj[cidx[uc]] >> cidx[ua] & 1
+                                and adj[ib] >> ic & 1
+                                and not adj[ic] >> ib & 1
+                                and adj[ic] >> ia & 1
+                                and not adj[ia] >> ic & 1
                             ):
                                 orient = True
                                 break
                     if orient:
-                        adj[ia, ib] = False
-    return Pdag._from_matrix(labels, adj)
+                        adj[ia] &= ~(1 << ib)
+    return Pdag._from_rows(labels, adj)
 
 
 def verify_merge(

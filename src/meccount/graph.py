@@ -2,12 +2,13 @@
 
 A :class:`Pdag` stores a finite set of labeled vertices and, for every
 skeleton edge, one of three marks: undirected, or directed one way or the
-other.  Internally the graph is a boolean matrix over the sorted labels in
-which entry ``(i, j)`` records that the ordered pair ``(i, j)`` is present:
-an undirected edge ``u - v`` contributes both ``(u, v)`` and ``(v, u)``,
-while a directed edge ``u -> v`` contributes only ``(u, v)``.  All reachable
-views (skeleton, undirected part, directed part) derive from that single
-matrix.
+other.  Internally the graph is a tuple of integer bit rows over the sorted
+labels, the encoding the enumeration kernels use: bit ``j`` of row ``i``
+records that the ordered pair ``(i, j)`` is present.  An undirected edge
+``u - v`` contributes both ``(u, v)`` and ``(v, u)``, while a directed edge
+``u -> v`` contributes only ``(u, v)``.  All reachable views (skeleton,
+undirected part, directed part) derive from those rows; only the
+:attr:`Pdag.adjacency` export builds a NumPy matrix.
 
 Graphs are immutable after construction and hashable, so they can be used
 as dictionary keys and shared freely.
@@ -16,8 +17,6 @@ as dictionary keys and shared freely.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import GraphInputError, PreconditionError
 
@@ -36,10 +35,33 @@ def _as_vertex_set(P: "Pdag", X) -> set:
     return set(X)
 
 
+def _bits(x: int):
+    """Positions of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
+
+
+def _transpose(rows) -> list[int]:
+    """The rows of the reversed relation: bit ``i`` of row ``j`` is set
+    where bit ``j`` of row ``i`` is."""
+    back = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            back[j] |= 1 << i
+    return back
+
+
+def _upper(rows) -> list[int]:
+    """``rows`` with the bits ``j <= i`` of each row ``i`` cleared."""
+    return [row >> i + 1 << i + 1 for i, row in enumerate(rows)]
+
+
 class Pdag:
     """A partially directed graph over labeled vertices."""
 
-    __slots__ = ("_labels", "_index", "_adj")
+    __slots__ = ("_labels", "_index", "_rows")
 
     def __init__(
         self,
@@ -58,8 +80,6 @@ class Pdag:
                 raise GraphInputError(f"vertex label {lab!r} is not an int or str")
         self._labels: tuple[Label, ...] = tuple(sorted(labels, key=label_key))
         self._index: dict[Label, int] = {lab: i for i, lab in enumerate(self._labels)}
-        n = len(self._labels)
-        adj = np.zeros((n, n), dtype=bool)
         seen_pairs: set[frozenset] = set()
         for u, v in undirected + directed:
             if u == v:
@@ -68,25 +88,24 @@ class Pdag:
             if pair in seen_pairs:
                 raise GraphInputError(f"parallel edge between {u!r} and {v!r}")
             seen_pairs.add(pair)
+        index = self._index
+        rows = [0] * len(self._labels)
         for u, v in undirected:
-            i, j = self._index[u], self._index[v]
-            adj[i, j] = adj[j, i] = True
+            i, j = index[u], index[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         for u, v in directed:
-            adj[self._index[u], self._index[v]] = True
-        adj.setflags(write=False)
-        self._adj = adj
+            rows[index[u]] |= 1 << index[v]
+        self._rows: tuple[int, ...] = tuple(rows)
 
     @classmethod
-    def _from_matrix(cls, labels: tuple[Label, ...], adj: np.ndarray) -> "Pdag":
-        """Trusted constructor: ``labels`` sorted, ``adj`` loop-free (and
-        symmetric for an :class:`UndirectedGraph`)."""
+    def _from_rows(cls, labels: tuple[Label, ...], rows) -> "Pdag":
+        """Trusted constructor: ``labels`` sorted, ``rows`` loop-free bit
+        rows over them (and symmetric for an :class:`UndirectedGraph`)."""
         self = object.__new__(cls)
         self._labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
-        if adj.flags.writeable:
-            adj = adj.copy()
-            adj.setflags(write=False)
-        self._adj = adj
+        self._rows = tuple(rows)
         return self
 
     # -- basic views ---------------------------------------------------
@@ -104,9 +123,17 @@ class Pdag:
         return len(self._labels)
 
     @property
-    def adjacency(self) -> np.ndarray:
-        """Read-only ordered-pair matrix aligned with :attr:`vertices`."""
-        return self._adj
+    def adjacency(self):
+        """Read-only NumPy matrix of the ordered pairs, aligned with
+        :attr:`vertices`; built on each read, for callers outside the
+        package."""
+        import numpy as np
+
+        n = self.n
+        cells = [row >> j & 1 for row in self._rows for j in range(n)]
+        adj = np.array(cells, dtype=bool).reshape(n, n)
+        adj.setflags(write=False)
+        return adj
 
     def has_vertex(self, v: Label) -> bool:
         return v in self._index
@@ -114,56 +141,59 @@ class Pdag:
     def has_edge(self, u: Label, v: Label) -> bool:
         """True if the skeleton joins ``u`` and ``v``."""
         i, j = self._require(u), self._require(v)
-        return bool(self._adj[i, j] or self._adj[j, i])
+        return (self._rows[i] >> j | self._rows[j] >> i) & 1 == 1
 
     def has_ordered_edge(self, u: Label, v: Label) -> bool:
         """True if the ordered pair ``(u, v)`` is present."""
-        return bool(self._adj[self._require(u), self._require(v)])
+        i, j = self._require(u), self._require(v)
+        return self._rows[i] >> j & 1 == 1
 
     def has_directed(self, u: Label, v: Label) -> bool:
-        i, j = self._require(u), self._require(v)
-        return bool(self._adj[i, j] and not self._adj[j, i])
+        # the engine's side checks ask this for every shadow edge they
+        # test, so the index lookups are inlined
+        try:
+            i, j = self._index[u], self._index[v]
+        except KeyError:
+            raise GraphInputError(f"unknown vertex {v if u in self else u!r}") from None
+        return self._rows[i] >> j & 1 == 1 and self._rows[j] >> i & 1 == 0
 
     def has_undirected(self, u: Label, v: Label) -> bool:
         i, j = self._require(u), self._require(v)
-        return bool(self._adj[i, j] and self._adj[j, i])
+        return self._rows[i] >> j & self._rows[j] >> i & 1 == 1
+
+    def _edges_of(self, rows) -> tuple[Edge, ...]:
+        """The label pairs of the set bits of ``rows``, sorted by index."""
+        labels = self._labels
+        return tuple((labels[i], labels[j]) for i, row in enumerate(rows) for j in _bits(row))
+
+    def _skeleton_rows(self) -> list[int]:
+        """The skeleton's rows: each edge present both ways."""
+        return [row | col for row, col in zip(self._rows, _transpose(self._rows))]
 
     def ordered_edges(self) -> tuple[Edge, ...]:
         """All present ordered pairs, sorted; undirected edges appear twice."""
-        ii, jj = np.nonzero(self._adj)
-        return tuple(
-            (self._labels[i], self._labels[j]) for i, j in zip(ii.tolist(), jj.tolist())
-        )
+        return self._edges_of(self._rows)
 
     def undirected_edges(self) -> tuple[Edge, ...]:
-        und = self._adj & self._adj.T
-        ii, jj = np.nonzero(np.triu(und))
-        return tuple(
-            (self._labels[i], self._labels[j]) for i, j in zip(ii.tolist(), jj.tolist())
-        )
+        back = _transpose(self._rows)
+        return self._edges_of(_upper([row & col for row, col in zip(self._rows, back)]))
 
     def directed_edges(self) -> tuple[Edge, ...]:
-        d = self._adj & ~self._adj.T
-        ii, jj = np.nonzero(d)
-        return tuple(
-            (self._labels[i], self._labels[j]) for i, j in zip(ii.tolist(), jj.tolist())
-        )
+        back = _transpose(self._rows)
+        return self._edges_of([row & ~col for row, col in zip(self._rows, back)])
 
     def skeleton_edges(self) -> tuple[Edge, ...]:
-        sk = self._adj | self._adj.T
-        ii, jj = np.nonzero(np.triu(sk))
-        return tuple(
-            (self._labels[i], self._labels[j]) for i, j in zip(ii.tolist(), jj.tolist())
-        )
+        return self._edges_of(_upper(self._skeleton_rows()))
 
     def edge_count(self) -> int:
-        return len(self.skeleton_edges())
+        return sum(row.bit_count() for row in self._skeleton_rows()) // 2
 
     def is_fully_undirected(self) -> bool:
-        return bool(np.array_equal(self._adj, self._adj.T))
+        return list(self._rows) == _transpose(self._rows)
 
     def is_fully_directed(self) -> bool:
-        return not bool((self._adj & self._adj.T).any())
+        back = _transpose(self._rows)
+        return not any(row & col for row, col in zip(self._rows, back))
 
     # -- operations ----------------------------------------------------
 
@@ -174,9 +204,10 @@ class Pdag:
         if unknown:
             raise GraphInputError(f"unknown vertices {sorted(map(repr, unknown))}")
         keep = sorted(sub, key=label_key)
-        idx = np.array([self._index[v] for v in keep], dtype=np.intp)
-        adj = self._adj[np.ix_(idx, idx)].copy()
-        return type(self)._from_matrix(tuple(keep), adj)
+        at = {self._index[v]: k for k, v in enumerate(keep)}
+        mask = sum(1 << i for i in at)
+        rows = [sum(1 << at[j] for j in _bits(self._rows[i] & mask)) for i in at]
+        return type(self)._from_rows(tuple(keep), rows)
 
     def neighbors(self, X) -> frozenset:
         """Vertices adjacent (in the skeleton) to at least one member of X."""
@@ -186,18 +217,18 @@ class Pdag:
             raise GraphInputError(f"unknown vertices {sorted(map(repr, unknown))}")
         if not xs:
             return frozenset()
-        idx = np.array([self._index[v] for v in xs], dtype=np.intp)
-        sk = self._adj | self._adj.T
-        hit = sk[idx].any(axis=0)
-        return frozenset(self._labels[i] for i in np.nonzero(hit)[0].tolist())
+        sk = self._skeleton_rows()
+        hit = 0
+        for v in xs:
+            hit |= sk[self._index[v]]
+        return frozenset(self._labels[i] for i in _bits(hit))
 
     def neighbor_sets(self) -> dict:
         """The skeleton as a fresh set of neighbors per vertex."""
-        nbrs: dict = {v: set() for v in self._labels}
-        for u, v in self.skeleton_edges():
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return nbrs
+        labels = self._labels
+        return {
+            v: {labels[j] for j in _bits(row)} for v, row in zip(labels, self._skeleton_rows())
+        }
 
     def closed_neighborhood(self, X) -> frozenset:
         xs = _as_vertex_set(self, X)
@@ -209,40 +240,37 @@ class Pdag:
         Isolated vertices and vertices touched only by directed edges form
         singleton components.  Components are sorted by their least label.
         """
-        und = self._adj & self._adj.T
-        return self._components_of(und)
+        back = _transpose(self._rows)
+        return self._components_of([row & col for row, col in zip(self._rows, back)])
 
     def components(self) -> tuple[frozenset, ...]:
         """Connected components of the skeleton."""
-        return self._components_of(self._adj | self._adj.T)
+        return self._components_of(self._skeleton_rows())
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def _components_of(self, rel: np.ndarray) -> tuple[frozenset, ...]:
-        n = self.n
-        seen = [False] * n
+    def _components_of(self, rel) -> tuple[frozenset, ...]:
+        # each search starts from the least vertex not yet reached, so the
+        # components come out sorted by their least label
+        seen = 0
         comps = []
-        for start in range(n):
-            if seen[start]:
+        for start in range(self.n):
+            if seen >> start & 1:
                 continue
+            comp = 1 << start
             stack = [start]
-            seen[start] = True
-            comp = []
             while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in np.nonzero(rel[i])[0].tolist():
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            comps.append(frozenset(self._labels[i] for i in comp))
-        return tuple(sorted(comps, key=lambda c: min(map(label_key, c))))
+                new = rel[stack.pop()] & ~comp
+                comp |= new
+                stack.extend(_bits(new))
+            seen |= comp
+            comps.append(frozenset(self._labels[i] for i in _bits(comp)))
+        return tuple(comps)
 
     def skeleton(self) -> "UndirectedGraph":
         """Forget every direction mark."""
-        sk = (self._adj | self._adj.T).copy()
-        return UndirectedGraph._from_matrix(self._labels, sk)
+        return UndirectedGraph._from_rows(self._labels, self._skeleton_rows())
 
     # -- dunder --------------------------------------------------------
 
@@ -255,10 +283,10 @@ class Pdag:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pdag):
             return NotImplemented
-        return self._labels == other._labels and np.array_equal(self._adj, other._adj)
+        return self._labels == other._labels and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._adj.tobytes()))
+        return hash((self._labels, self._rows))
 
     def __contains__(self, v: Label) -> bool:
         return v in self._index
@@ -269,11 +297,7 @@ class Pdag:
     def __repr__(self) -> str:
         parts = [f"{u!r}--{v!r}" for u, v in self.undirected_edges()]
         parts += [f"{u!r}->{v!r}" for u, v in self.directed_edges()]
-        iso = [
-            repr(v)
-            for v in self._labels
-            if not (self._adj[self._index[v]].any() or self._adj[:, self._index[v]].any())
-        ]
+        iso = [repr(v) for v, row in zip(self._labels, self._skeleton_rows()) if not row]
         body = ", ".join(parts + iso)
         return f"{type(self).__name__}({body})"
 
@@ -288,13 +312,17 @@ class UndirectedGraph(Pdag):
     def edges(self) -> tuple[Edge, ...]:
         return self.undirected_edges()
 
+    def _skeleton_rows(self) -> list[int]:
+        # the rows of an undirected graph are symmetric
+        return list(self._rows)
+
     def lbfs_order(self) -> tuple[Label, ...]:
         """Lexicographic BFS visit order with least-label tie-breaks."""
         order: list[int] = []
         # Partition refinement: pick from the first class, then split every
         # class into (neighbors, non-neighbors) of the picked vertex.
         classes: list[list[int]] = [list(range(self.n))]
-        sk = self._adj
+        sk = self._rows
         while classes:
             first = classes[0]
             i = min(first)
@@ -304,8 +332,8 @@ class UndirectedGraph(Pdag):
             for cls_ in classes:
                 if not cls_:
                     continue
-                hits = [j for j in cls_ if sk[i, j]]
-                misses = [j for j in cls_ if not sk[i, j]]
+                hits = [j for j in cls_ if sk[i] >> j & 1]
+                misses = [j for j in cls_ if not sk[i] >> j & 1]
                 if hits:
                     new_classes.append(hits)
                 if misses:
@@ -321,15 +349,15 @@ class UndirectedGraph(Pdag):
         """
         order = self.lbfs_order()
         rank = {v: r for r, v in enumerate(order)}
-        sk = self._adj
+        labels, sk, index = self._labels, self._rows, self._index
         for v in order:
-            earlier = [u for u in self._labels if sk[self._index[u], self._index[v]] and rank[u] < rank[v]]
+            earlier = [labels[j] for j in _bits(sk[index[v]]) if rank[labels[j]] < rank[v]]
             if not earlier:
                 continue
             w = max(earlier, key=lambda u: rank[u])
-            wi = self._index[w]
+            wi = index[w]
             for u in earlier:
-                if u != w and not sk[self._index[u], wi]:
+                if u != w and not sk[index[u]] >> wi & 1:
                     return False
         return True
 
@@ -349,25 +377,26 @@ def markov_union(graphs: Sequence[Pdag]) -> Pdag:
     pair opposite ways violate the precondition.
     """
     graphs = list(graphs)
-    labels = sorted({v for g in graphs for v in g.vertices}, key=label_key)
+    labels = tuple(sorted({v for g in graphs for v in g.vertices}, key=label_key))
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    fwd = np.zeros((n, n), dtype=bool)   # directed u->v claimed by some input
-    und = np.zeros((n, n), dtype=bool)
+    fwd = [0] * n  # directed u->v claimed by some input
+    und = [0] * n
     for g in graphs:
-        idx = np.array([index[v] for v in g.vertices], dtype=np.intp)
-        a = g.adjacency
-        d = a & ~a.T
-        u = a & a.T
-        for i, j in zip(*np.nonzero(d)):
-            gi, gj = idx[i], idx[j]
-            if fwd[gj, gi]:
-                raise PreconditionError(
-                    f"graphs disagree on the edge between {labels[gj]!r} and "
-                    f"{labels[gi]!r}: directed both ways"
-                )
-            fwd[gi, gj] = True
-        for i, j in zip(*np.nonzero(u)):
-            und[idx[i], idx[j]] = True
-    adj = fwd | (und & ~fwd & ~fwd.T)
-    return Pdag._from_matrix(tuple(labels), adj)
+        idx = [index[v] for v in g.vertices]
+        rows = g._rows
+        for i, row in enumerate(rows):
+            gi = idx[i]
+            for j in _bits(row):
+                gj = idx[j]
+                if rows[j] >> i & 1:
+                    und[gi] |= 1 << gj
+                elif fwd[gj] >> gi & 1:
+                    raise PreconditionError(
+                        f"graphs disagree on the edge between {labels[gj]!r} and "
+                        f"{labels[gi]!r}: directed both ways"
+                    )
+                else:
+                    fwd[gi] |= 1 << gj
+    back = _transpose(fwd)
+    return Pdag._from_rows(labels, [f | u & ~f & ~b for f, u, b in zip(fwd, und, back)])

@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from . import _kernels
 from .errors import CapacityError, GraphInputError, InternalInvariantError, PreconditionError
-from .graph import Edge, Label, Pdag, label_key
+from .graph import Edge, Label, Pdag, _bits, _transpose, label_key
 
 DEFAULT_ORIENTATION_CAP = 24  # max skeleton edges for 2^m orientation sweeps
 DEFAULT_MARKS_CAP = 12        # max skeleton edges for 3^m mark sweeps
@@ -45,17 +43,15 @@ class VStructure:
 
 def v_structures(P: Pdag) -> frozenset[VStructure]:
     """All canonicalized collider triples of ``P``."""
-    adj = P.adjacency
-    d = adj & ~adj.T
-    sk = adj | adj.T
+    rows = P._rows
+    back = _transpose(rows)
     labels = P.vertices
     out: set[VStructure] = set()
-    for b in np.nonzero(d.sum(axis=0) > 1)[0].tolist():
-        tails = np.nonzero(d[:, b])[0]
-        for i in range(len(tails)):
-            for j in range(i + 1, len(tails)):
-                a, c = int(tails[i]), int(tails[j])
-                if not sk[a, c]:
+    for b, (row, col) in enumerate(zip(rows, back)):
+        tails = list(_bits(col & ~row))  # the a with a -> b
+        for x, a in enumerate(tails):
+            for c in tails[x + 1:]:
+                if not (rows[a] | back[a]) >> c & 1:
                     la, lc = labels[a], labels[c]
                     if label_key(lc) < label_key(la):
                         la, lc = lc, la
@@ -101,19 +97,13 @@ def is_chain_graph(P: Pdag) -> bool:
 def _protection_rows(P: Pdag):
     """``P`` as the protection kernel's bitmask rows ``skel, und, out, inb``
     and its directed edges as index pairs."""
-    n = P.n
-    und, out, inb = [0] * n, [0] * n, [0] * n
-    ii, jj = np.nonzero(P.adjacency)
-    ordered = set(zip(ii.tolist(), jj.tolist()))
-    directed = []
-    for i, j in ordered:
-        if (j, i) in ordered:
-            und[i] |= 1 << j
-        else:
-            out[i] |= 1 << j
-            inb[j] |= 1 << i
-            directed.append((i, j))
-    skel = [a | b | c for a, b, c in zip(und, out, inb)]
+    rows = P._rows
+    back = _transpose(rows)
+    skel = [row | col for row, col in zip(rows, back)]
+    und = [row & col for row, col in zip(rows, back)]
+    out = [row & ~col for row, col in zip(rows, back)]
+    inb = [col & ~row for row, col in zip(rows, back)]
+    directed = [(i, j) for i, row in enumerate(out) for j in _bits(row)]
     return (skel, und, out, inb), directed
 
 
@@ -141,15 +131,12 @@ def is_strongly_protected(P: Pdag, e: Edge) -> bool:
 
 def _no_flag_pattern(P: Pdag) -> bool:
     # no induced x -> y - w (x, w non-adjacent)
-    adj = P.adjacency
-    d = adj & ~adj.T
-    und = adj & adj.T
-    sk = adj | adj.T
-    for x, y in zip(*np.nonzero(d)):
-        bad = und[y] & ~sk[x]
-        bad[x] = False
-        if bad.any():
-            return False
+    rows = P._rows
+    back = _transpose(rows)
+    for x, (row, col) in enumerate(zip(rows, back)):
+        for y in _bits(row & ~col):
+            if rows[y] & back[y] & ~(row | col | 1 << x):
+                return False
     return True
 
 
@@ -237,9 +224,6 @@ def _check_edge_cap(m: int, max_edges: int, sweep: str) -> None:
         )
 
 
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _code_rows(n: int, pairs, code: int) -> list[int]:
     """The graph that trit ``j`` of ``code`` marks on pair ``j = (i, k)``
     (0 undirected, 1 ``i -> k``, 2 ``k -> i``) as adjacency rows: bit ``k``
@@ -262,17 +246,7 @@ def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
 
 def _pdag_on(labels: tuple, pairs, code: int) -> Pdag:
     """:func:`_pdag_from_code` over the sorted ``labels``."""
-    n = len(labels)
-    # row u's bit v is bit u * n + v of one numeral; a guard bit above the
-    # n * n cells keeps its leading zeros, and reading the digits backwards
-    # without it lists the cells in order
-    flat = 1 << n * n
-    for u, row in enumerate(_code_rows(n, pairs, code)):
-        flat |= row << u * n
-    cells = format(flat, "b")[:0:-1].encode().translate(_DIGIT_BYTES)
-    # read-only from the start, so the graph keeps it without a copy
-    adj = np.frombuffer(cells, dtype=bool).reshape(n, n)
-    return Pdag._from_matrix(labels, adj)
+    return Pdag._from_rows(labels, _code_rows(len(labels), pairs, code))
 
 
 def _code_of_pdag(P: Pdag, labels, edges) -> int:
@@ -337,7 +311,17 @@ def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list
     """All class-representative graphs over skeleton ``U``, deterministically ordered."""
     pairs = _skeleton_pairs(U)
     mecs = [_pdag_from_code(U, pairs, code) for code in mec_codes(U, max_edges=max_edges)]
-    return sorted(mecs, key=lambda M: M.adjacency.tobytes())
+    return sorted(mecs, key=_cells)
+
+
+def _cells(P: Pdag) -> str:
+    """``P``'s ordered-pair cells row by row as a string of 0s and 1s,
+    which sorts as ``P.adjacency.tobytes()`` does among graphs of one size."""
+    n = P.n
+    flat = 0  # cell (u, v) at bit u * n + v
+    for row in reversed(P._rows):
+        flat = flat << n | row
+    return format(flat, f"0{n * n}b")[::-1]
 
 
 def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]:
@@ -387,7 +371,7 @@ def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
     # D's collider fingerprint names its class among all orientations
     dmask = 0
     for j, (i, k) in enumerate(pairs):
-        if D.adjacency[i, k]:
+        if D._rows[i] >> k & 1:
             dmask |= 1 << j
     (key,) = _kernels.collider_words([dmask], *_collider_triples(n, pairs, skel))
     fwd, rev = _orientation_classes(U, max_edges)[key]
@@ -403,19 +387,20 @@ def dag_member(M: Pdag) -> Pdag:
     Each undirected component is oriented along its LBFS order; that keeps
     the graph acyclic and introduces no new collider.
     """
-    adj = M.adjacency.copy()
-    und = M.adjacency & M.adjacency.T
+    rows = list(M._rows)
+    und = [row & col for row, col in zip(rows, _transpose(rows))]
+    labels = M.vertices
     for comp in M.undirected_components():
         if len(comp) < 2:
             continue
         sub = M.induced_subgraph(comp).skeleton()
         rank = {v: r for r, v in enumerate(sub.lbfs_order())}
         for u in comp:
-            for v in comp:
-                iu, iv = M._index[u], M._index[v]
-                if und[iu, iv] and rank[u] > rank[v]:
-                    adj[iu, iv] = False
-    return Pdag._from_matrix(M.vertices, adj)
+            iu = M._index[u]
+            for iv in _bits(und[iu]):
+                if rank[u] > rank[labels[iv]]:
+                    rows[iu] &= ~(1 << iv)
+    return Pdag._from_rows(labels, rows)
 
 
 def project_mec(M: Pdag, S, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:

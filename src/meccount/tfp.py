@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import GraphInputError, PreconditionError
-from .graph import Edge, Label, Pdag
+from .graph import Edge, Label, Pdag, _bits
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,6 @@ def _matrices_to_table(labels, slots, p1, p2) -> TfpTable:
     return TfpTable(p1=pairs, p2=hits)
 
 
-def _bits(x: int):
-    """Positions of the set bits of ``x``, ascending."""
-    while x:
-        low = x & -x
-        x ^= low
-        yield low.bit_length() - 1
-
-
-def _adjacency_rows(P: Pdag) -> list[int]:
-    packed = np.packbits(P.adjacency, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 @lru_cache(maxsize=4096)
 def _in_closure_class(P: Pdag) -> bool:
     from .mecrules import is_chain_graph
@@ -176,7 +161,7 @@ def tfp_table(P: Pdag) -> TfpTable:
             "reachability closure requires a chain graph with chordal "
             "undirected components"
         )
-    slots, p1, p2, _ = _closed_rows(P.n, _adjacency_rows(P), _adjacency_rows(P.skeleton()))
+    slots, p1, p2, _ = _closed_rows(P.n, P._rows, P._skeleton_rows())
     return _matrices_to_table(
         P.vertices, slots, [p1[s] for s in slots], [p2[s] for s in slots]
     )
@@ -213,10 +198,9 @@ def tfp_exists(P: Pdag, from_edge: Edge, to) -> bool:
 
 
 def _state_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
-    adj = P.adjacency
-    sk = adj | adj.T
+    adj = P._rows
+    sk = P._skeleton_rows()
     idx = P._index
-    labels = P.vertices
     start = (idx[from_edge[0]], idx[from_edge[1]])
     goal = (idx[to_edge[0]], idx[to_edge[1]]) if to_edge else None
     goal_v = idx[to_vertex] if to_vertex is not None else None
@@ -224,8 +208,8 @@ def _state_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
     stack = [start]
     while stack:
         a, b = stack.pop()
-        for c in np.nonzero(adj[b])[0].tolist():
-            if c == a or sk[a, c]:
+        for c in _bits(adj[b]):
+            if c == a or sk[a] >> c & 1:
                 continue
             state = (b, c)
             if state in seen:
@@ -240,8 +224,8 @@ def _state_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
 
 
 def _simple_path_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
-    adj = P.adjacency
-    sk = adj | adj.T
+    adj = P._rows
+    sk = P._skeleton_rows()
     idx = P._index
     start = [idx[from_edge[0]], idx[from_edge[1]]]
     goal = (idx[to_edge[0]], idx[to_edge[1]]) if to_edge else None
@@ -252,8 +236,8 @@ def _simple_path_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
 
     def extend() -> bool:
         a, b = path[-2], path[-1]
-        for c in np.nonzero(adj[b])[0].tolist():
-            if c in used or sk[a, c]:
+        for c in _bits(adj[b]):
+            if c in used or sk[a] >> c & 1:
                 continue
             if goal is not None and (b, c) == goal:
                 return True

@@ -34,7 +34,7 @@ from meccount.extension import (
 from meccount.graph import label_key
 from meccount.mecrules import VStructure, _pdag_from_code, v_structures
 from meccount.shadow import partial_mec_codes
-from meccount.tfp import EMPTY_TABLE, _adjacency_rows, _close_p1, _close_p2, _seed_matrices
+from meccount.tfp import EMPTY_TABLE, _close_p1, _close_p2, _seed_matrices
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
 from conftest import decoded_extensions, grid, ladder, random_chain_chordal, random_connected_graph
@@ -410,7 +410,7 @@ class TestIntegerClosure:
             U = random_chain_chordal(rng, max_edges=8).skeleton()
             for M in enumerate_mecs(U):
                 n = M.n
-                slots, seed1, seed2 = _seed_matrices(n, _adjacency_rows(M), _adjacency_rows(U))
+                slots, seed1, seed2 = _seed_matrices(n, M._rows, U._rows)
                 assert slots == [s for s in range(n * n) if M.adjacency[s // n, s % n]]
                 extra1, extra2 = _random_entries(rng, n, slots, rng.choice((0.0, 0.05, 0.2)))
                 _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng)

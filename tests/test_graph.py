@@ -1,18 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meccount
 from meccount import (
     GraphInputError,
     Pdag,
     PreconditionError,
     UndirectedGraph,
+    enumerate_mecs,
     markov_union,
 )
+from meccount.graph import label_key
+from meccount.mecrules import _code_of_pdag, _pdag_on, _skeleton_pairs
 
 import oracles
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, grid, ladder, random_connected_graph
 
 
 def pdag(und=(), dire=(), verts=()):
@@ -198,3 +206,120 @@ class TestMarkovUnion:
                 continue
             assert markov_union(gs[::-1]) == ref
             assert markov_union([markov_union(gs[:2]), gs[2]]) == ref
+
+
+# -- the bit-row representation against plain edge lists -------------------------
+
+MIXED_LABELS = [*range(12), *"abcdefghijkl"]
+
+
+def _random_marked(rng, n):
+    """A random connected skeleton on mixed int/str labels, sometimes with
+    an isolated vertex besides, its edges split into undirected and directed
+    lists."""
+    G = random_connected_graph(rng, n)
+    name = dict(zip([*G.vertices, None], rng.sample(MIXED_LABELS, n + 1)))
+    if rng.random() < 0.7:
+        del name[None]
+    und, dire = [], []
+    for u, v in G.edges:
+        u, v = name[u], name[v]
+        r = rng.random()
+        if r < 0.4:
+            und.append((u, v))
+        else:
+            dire.append((u, v) if r < 0.7 else (v, u))
+    return list(name.values()), und, dire
+
+
+def _matrix(vertices, und, dire):
+    at = {v: i for i, v in enumerate(sorted(vertices, key=label_key))}
+    want = np.zeros((len(at), len(at)), dtype=bool)
+    for u, v in und:
+        want[at[u], at[v]] = want[at[v], at[u]] = True
+    for u, v in dire:
+        want[at[u], at[v]] = True
+    return want
+
+
+def _same(P, Q):
+    assert P == Q and hash(P) == hash(Q)
+
+
+class TestBitRows:
+    def test_adjacency_matches_edge_lists(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            verts, und, dire = _random_marked(rng, rng.randint(2, 9))
+            adj = Pdag(verts, und, dire).adjacency
+            assert adj.dtype == bool and not adj.flags.writeable
+            assert np.array_equal(adj, _matrix(verts, und, dire))
+
+    def test_equality_and_hash_across_constructors(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            verts, und, dire = _random_marked(rng, rng.randint(2, 9))
+            P = Pdag(verts, und, dire)
+            pairs = _skeleton_pairs(P.skeleton())
+            code = _code_of_pdag(P, P.vertices, [(j, i, k) for j, (i, k) in enumerate(pairs)])
+            _same(_pdag_on(P.vertices, pairs, code), P)
+            S = set(rng.sample(verts, rng.randint(1, len(verts))))
+            _same(
+                P.induced_subgraph(S),
+                Pdag(
+                    S,
+                    [e for e in und if set(e) <= S],
+                    [e for e in dire if set(e) <= S],
+                ),
+            )
+            _same(P.skeleton(), UndirectedGraph(verts, und + dire))
+            _same(P.skeleton(), Pdag(verts, und + dire))
+            k, h = rng.randint(0, len(und)), rng.randint(0, len(dire))
+            halves = [Pdag(verts, und[:k], dire[:h]), Pdag(verts, und[k:], dire[h:])]
+            _same(markov_union(halves), P)
+            _same(markov_union([P, Pdag(verts, dire)]), P)
+
+    @pytest.mark.parametrize(
+        "U",
+        [
+            UndirectedGraph(edges=[(0, k) for k in range(1, 6)]),
+            grid(3, 3),
+            ladder(5),
+        ],
+        ids=["K1,5", "grid3x3", "ladder2x5"],
+    )
+    def test_enumerate_mecs_in_adjacency_byte_order(self, U):
+        keys = [M.adjacency.tobytes() for M in enumerate_mecs(U)]
+        assert len(keys) > 1 and keys == sorted(keys)
+
+    def test_enumerate_mecs_in_adjacency_byte_order_random(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            verts, und, dire = _random_marked(rng, rng.randint(2, 7))
+            keys = [M.adjacency.tobytes() for M in enumerate_mecs(UndirectedGraph(verts, und + dire))]
+            assert keys == sorted(keys)
+
+
+def test_counting_routes_do_not_import_numpy(tmp_path):
+    """The package, its CLI and every counting route run without NumPy;
+    only the ``adjacency`` export loads it."""
+    path = tmp_path / "path12.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(11)))
+    code = (
+        "import contextlib, io, sys\n"
+        "import meccount\n"
+        "from meccount import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['count', sys.argv[1]]) == 0\n"
+        "G = meccount.UndirectedGraph(edges=[(i, i + 1) for i in range(7)] + [(0, 7)])\n"
+        "assert meccount.count_mecs(G, 'fpt') == meccount.brute_count_mecs(G)\n"
+        "assert meccount.brute_count_mecs_andersson(G) == len(meccount.enumerate_mecs(G))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(meccount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
