@@ -18,7 +18,7 @@ import time
 
 from .counting import count_components, count_mecs
 from .errors import CapacityError, GraphInputError, InternalInvariantError, PreconditionError
-from .graph import UndirectedGraph, label_key
+from .graph import UndirectedGraph
 from .mecrules import enumerate_mecs
 from .treedecomp import tree_decomposition
 
@@ -71,14 +71,10 @@ def format_marks(M) -> str:
     return " ".join(toks)
 
 
-def _heuristic_name(cli_value: str) -> str:
-    return cli_value.replace("-", "_")
-
-
 def cmd_count(args) -> int:
     G = _read_graph(args.input)
     t0 = time.perf_counter()
-    count, runs = count_components(G, args.method, heuristic=_heuristic_name(args.td))
+    count, runs = count_components(G, args.method)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
         # the routes the components took; the empty graph has none and runs
@@ -133,7 +129,6 @@ def _random_connected_graph(rng: random.Random, max_n: int) -> UndirectedGraph:
 
 
 def cmd_verify(args) -> int:
-    corrupt = os.environ.get("MECCOUNT_SELFTEST_CORRUPT") == "1"
     cases: list[tuple[str, UndirectedGraph]] = []
     if args.input:
         cases.append((args.input, _read_graph(args.input)))
@@ -145,8 +140,6 @@ def cmd_verify(args) -> int:
     for name, G in cases:
         expected = count_mecs(G, "brute")
         got = count_mecs(G, "fpt")
-        if corrupt:
-            got += 1
         status = "PASS" if got == expected else "FAIL"
         if status == "FAIL":
             failures += 1
@@ -157,11 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_td(args) -> int:
     G = _read_graph(args.input)
-    heuristic = _heuristic_name(args.heuristic)
-    decompositions = [
-        tree_decomposition(G.induced_subgraph(comp), heuristic)
-        for comp in sorted(G.components(), key=lambda c: min(map(label_key, c)))
-    ]
+    decompositions = [tree_decomposition(G.induced_subgraph(c)) for c in G.components()]
     if args.json:
         payload = {
             "components": [
@@ -207,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count", help="count classes over the input skeleton")
     c.add_argument("input")
     c.add_argument("--method", choices=("auto", "fpt", "brute"), default="auto")
-    c.add_argument("--td", choices=("min-fill", "min-degree"), default="min-fill")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_count)
 
@@ -225,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("td", help="show a tree decomposition of the input")
     t.add_argument("input")
-    t.add_argument("--heuristic", choices=("min-fill", "min-degree"), default="min-fill")
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=cmd_td)
     return p

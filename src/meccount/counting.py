@@ -19,20 +19,18 @@ from __future__ import annotations
 from .errors import GraphInputError, PreconditionError
 from .extension import _check_split, _Cut, _cut_frame, _induced, extensions
 from .graph import Pdag, UndirectedGraph
-from .mecrules import DEFAULT_ORIENTATION_CAP, brute_count_mecs, mec_codes
+from .mecrules import brute_count_mecs, mec_codes
 from .shadow import ShadowTable, _partial_mec_codes_on
 from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
 
 
-def brute_force_count(
-    G: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP
-) -> ShadowTable:
+def brute_force_count(G: Pdag) -> ShadowTable:
     """Leaf table: one entry per class of ``G``, keyed by its full-graph
     shadow (the class graph with its own path table), each counting one."""
     F = ShadowTable(domain=G)
-    for code in mec_codes(G, max_edges=max_edges):
+    for code in mec_codes(G):
         F.add_class(code)
     return F
 
@@ -157,7 +155,7 @@ def _side_key(F: ShadowTable, at: dict) -> tuple:
     return (len(labels), F.edges, tuple([(f, at[labels[f]]) for f in F.inside]), tuple(F.entries))
 
 
-def count_mecs(G: Pdag, method: str = "auto", *, heuristic: str = "min_fill") -> int:
+def count_mecs(G: Pdag, method: str = "auto") -> int:
     """Number of classes whose skeleton is ``G``.
 
     ``brute`` enumerates orientations; ``fpt`` folds a tree decomposition
@@ -166,12 +164,10 @@ def count_mecs(G: Pdag, method: str = "auto", *, heuristic: str = "min_fill") ->
     since collider sets combine independently across components.  The empty
     graph counts one (the empty class).
     """
-    return count_components(G, method, heuristic=heuristic)[0]
+    return count_components(G, method)[0]
 
 
-def count_components(
-    G: Pdag, method: str = "auto", *, heuristic: str = "min_fill"
-) -> tuple[int, list]:
+def count_components(G: Pdag, method: str = "auto") -> tuple[int, list]:
     """:func:`count_mecs`'s answer, and what it ran: per connected
     component, by least label, the pair ``(route, td)`` of the route it took
     and the decomposition the engine folded (``None`` on the brute route).
@@ -194,7 +190,7 @@ def count_components(
             runs.append((route, None))
         else:
             # tree_decomposition validates what it builds
-            td = tree_decomposition(part, heuristic)
+            td = tree_decomposition(part)
             total *= _count_rec(*_in_fold_order(part, td)).total()
             runs.append((route, td))
     return total, runs

@@ -316,6 +316,9 @@ class UndirectedGraph(Pdag):
         # the rows of an undirected graph are symmetric
         return list(self._rows)
 
+    def is_fully_undirected(self) -> bool:
+        return True  # symmetric rows, as above
+
     def lbfs_order(self) -> tuple[Label, ...]:
         """Lexicographic BFS visit order with least-label tie-breaks."""
         order: list[int] = []

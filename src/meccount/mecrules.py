@@ -171,7 +171,7 @@ def _require_undirected(U: Pdag) -> Pdag:
 
 def _skeleton_pairs(g: Pdag) -> list[tuple[int, int]]:
     """``g``'s skeleton edges as vertex index pairs, in the order trit codes
-    use (see :func:`_pdag_from_code`)."""
+    use (see :func:`_pdag_on`)."""
     return [(g._index[u], g._index[v]) for u, v in g.skeleton_edges()]
 
 
@@ -238,14 +238,9 @@ def _code_rows(n: int, pairs, code: int) -> list[int]:
     return adj
 
 
-def _pdag_from_code(U: Pdag, pairs, code: int) -> Pdag:
-    """The graph over ``U``'s vertices that ``code`` marks on ``pairs`` (see
-    :func:`_code_rows`)."""
-    return _pdag_on(U.vertices, pairs, code)
-
-
 def _pdag_on(labels: tuple, pairs, code: int) -> Pdag:
-    """:func:`_pdag_from_code` over the sorted ``labels``."""
+    """The graph over the sorted ``labels`` that ``code`` marks on ``pairs``
+    (see :func:`_code_rows`)."""
     return Pdag._from_rows(labels, _code_rows(len(labels), pairs, code))
 
 
@@ -282,7 +277,7 @@ def enumerate_acyclic_orientations(
     for lo in range(0, 1 << m, _CHUNK):
         hi = min(lo + _CHUNK, 1 << m)
         for mask in _kernels.acyclic_masks(n, eu, ev, lo, hi):
-            yield _pdag_from_code(U, pairs, _code_of_masks(mask, full ^ mask))
+            yield _pdag_on(U.vertices, pairs, _code_of_masks(mask, full ^ mask))
 
 
 def _orientation_classes(U: Pdag, max_edges: int) -> dict[int, tuple[int, int]]:
@@ -310,7 +305,7 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[int, tuple[int, int]]:
 def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[Pdag]:
     """All class-representative graphs over skeleton ``U``, deterministically ordered."""
     pairs = _skeleton_pairs(U)
-    mecs = [_pdag_from_code(U, pairs, code) for code in mec_codes(U, max_edges=max_edges)]
+    mecs = [_pdag_on(U.vertices, pairs, code) for code in mec_codes(U, max_edges=max_edges)]
     return sorted(mecs, key=_cells)
 
 
@@ -326,19 +321,19 @@ def _cells(P: Pdag) -> str:
 
 def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]:
     """The classes over skeleton ``U`` as trit codes over its skeleton edges
-    (see :func:`_pdag_from_code`), one per class."""
+    (see :func:`_pdag_on`), one per class."""
     _require_undirected(U)
     if U.edge_count() == 0:
         return [0]
     return [_code_of_masks(fwd, rev) for fwd, rev in _orientation_classes(U, max_edges).values()]
 
 
-def brute_count_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> int:
+def brute_count_mecs(U: Pdag) -> int:
     """Number of distinct collider sets among all DAG orientations of ``U``."""
     _require_undirected(U)
     if U.edge_count() == 0:
         return 1
-    return len(_orientation_classes(U, max_edges))
+    return len(_orientation_classes(U, DEFAULT_ORIENTATION_CAP))
 
 
 def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -> int:
@@ -354,7 +349,7 @@ def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -
     return len(_kernels.mark_codes(n, eu, ev, skel, True))
 
 
-def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
+def cpdag_of_dag(D: Pdag) -> Pdag:
     """The representative graph of the class containing the DAG ``D``.
 
     Computed as the direction-preferring union over all DAG orientations of
@@ -374,8 +369,8 @@ def cpdag_of_dag(D: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
         if D._rows[i] >> k & 1:
             dmask |= 1 << j
     (key,) = _kernels.collider_words([dmask], *_collider_triples(n, pairs, skel))
-    fwd, rev = _orientation_classes(U, max_edges)[key]
-    M = _pdag_from_code(U, pairs, _code_of_masks(fwd, rev))
+    fwd, rev = _orientation_classes(U, DEFAULT_ORIENTATION_CAP)[key]
+    M = _pdag_on(U.vertices, pairs, _code_of_masks(fwd, rev))
     if not is_mec(M):
         raise InternalInvariantError("orientation-union graph fails the MEC test")
     return M
@@ -403,7 +398,7 @@ def dag_member(M: Pdag) -> Pdag:
     return Pdag._from_rows(labels, rows)
 
 
-def project_mec(M: Pdag, S, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag:
+def project_mec(M: Pdag, S) -> Pdag:
     """The unique class over ``skeleton(M[S])`` sharing ``M[S]``'s colliders.
 
     Realized by restricting a DAG member of ``M`` to ``S`` and rebuilding
@@ -412,4 +407,4 @@ def project_mec(M: Pdag, S, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> Pdag
     if not is_mec(M):
         raise PreconditionError("projection is defined for MEC graphs only")
     D = dag_member(M).induced_subgraph(S)
-    return cpdag_of_dag(D, max_edges=max_edges)
+    return cpdag_of_dag(D)

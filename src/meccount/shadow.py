@@ -20,7 +20,7 @@ from .mecrules import (
     _code_of_pdag,
     _code_rows,
     _encode_on,
-    _pdag_from_code,
+    _pdag_on,
     _require_undirected,
     _skeleton_pairs,
     is_mec,
@@ -169,7 +169,7 @@ class ShadowTable:
 
     def _shadow(self, key: tuple) -> Shadow:
         code, p1, p2 = key
-        o = _pdag_from_code(self.frame, self.pairs, code).induced_subgraph(self.domain.vertices)
+        o = _pdag_on(self.labels, self.pairs, code).induced_subgraph(self.domain.vertices)
         return Shadow._trusted(o, _matrices_to_table(self.labels, self.slots, p1, p2))
 
     def add(self, s: Shadow, k: int) -> None:
@@ -249,7 +249,7 @@ def enumerate_partial_mecs(
     """Every partial MEC with skeleton ``U``, once each, deterministic order."""
     pairs = _skeleton_pairs(U)
     for code, _ in partial_mec_codes(U, max_edges=max_edges):
-        yield _pdag_from_code(U, pairs, code)
+        yield _pdag_on(U.vertices, pairs, code)
 
 
 def shadow_key(s: Shadow) -> bytes:

@@ -1,4 +1,4 @@
-"""Tree decompositions by elimination heuristics, validation, and cutting.
+"""Tree decompositions by min-fill elimination, validation, and cutting.
 
 The counting fold only needs a valid decomposition; its answer does not
 depend on the width, only its runtime does.  A decomposition is rooted
@@ -18,8 +18,6 @@ from .errors import GraphInputError, InternalInvariantError, PreconditionError
 from .graph import Pdag, label_key
 
 log = logging.getLogger(__name__)
-
-HEURISTICS = ("min_fill", "min_degree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,17 +48,13 @@ class TreeDecomposition:
         return frozenset(out)
 
     @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+    def _rooted(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        # depth-first from the root, smallest child first; bags the root
+        # cannot reach are left out
         adj: dict[int, set] = {i: set() for i in self.bags}
         for a, b in self.tree_edges:
             adj[a].add(b)
             adj[b].add(a)
-        return {i: tuple(sorted(js)) for i, js in adj.items()}
-
-    @cached_property
-    def _rooted(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-        # depth-first from the root, smallest child first; bags the root
-        # cannot reach are left out
         order = []
         kids = {}
         seen = {self.root}
@@ -68,7 +62,7 @@ class TreeDecomposition:
         while stack:
             i = stack.pop()
             order.append(i)
-            kids[i] = tuple(j for j in self._adjacency[i] if j not in seen)
+            kids[i] = tuple(sorted(j for j in adj[i] if j not in seen))
             seen.update(kids[i])
             stack.extend(reversed(kids[i]))
         return tuple(order), kids
@@ -78,43 +72,31 @@ class TreeDecomposition:
         """Bags reachable from the root, parents before children."""
         return self._rooted[0]
 
-    def tree_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[i]
-
     def children(self, i: int) -> tuple[int, ...]:
         """Tree neighbors away from the root, in increasing index order."""
         return self._rooted[1][i]
 
 
-def tree_decomposition(
-    U: Pdag, heuristic: str = "min_fill"
-) -> TreeDecomposition:
-    """Heuristic decomposition from an elimination ordering.
+def tree_decomposition(U: Pdag) -> TreeDecomposition:
+    """Min-fill decomposition from an elimination ordering.
 
-    ``min_fill`` picks the vertex whose elimination adds the fewest edges;
-    ``min_degree`` picks the smallest current neighborhood.  Ties break on
-    the label.  Bags contained in a tree-neighbor bag are contracted away.
-    No width guarantee.
+    Each step eliminates the vertex whose elimination adds the fewest edges,
+    ties broken on the label.  Bags contained in a tree-neighbor bag are
+    contracted away.  No width guarantee.
 
     Scores sit in a heap with lazy deletion (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
-    Eliminating ``v`` changes only the degrees of ``N(v)``, and only the
-    fill of ``N(v)`` and their neighbours, so only those are re-scored.  On
-    a graph of bounded degree the whole decomposition is near-linear.
+    Eliminating ``v`` changes only the fill of ``N(v)`` and their
+    neighbours, so only those are re-scored.  On a graph of bounded degree
+    the whole decomposition is near-linear.
     """
-    if heuristic not in HEURISTICS:
-        raise GraphInputError(f"unknown heuristic {heuristic!r}; expected {HEURISTICS}")
     if not U.is_fully_undirected():
         raise GraphInputError("tree decomposition expects an undirected graph")
-    if not U.is_connected():
-        raise GraphInputError("tree decomposition expects a connected graph")
     if U.n == 0:
         return TreeDecomposition(bags={0: frozenset()}, tree_edges=frozenset(), root=0)
 
     adj = U.neighbor_sets()
-    fill = heuristic == "min_fill"
-    score_of = _fill_count if fill else _degree
-    score = {v: score_of(adj, v) for v in adj}
+    score = {v: _fill_count(adj, v) for v in adj}
     heap = [(s, label_key(v), v) for v, s in score.items()]
     heapq.heapify(heap)
 
@@ -131,19 +113,21 @@ def tree_decomposition(
             adj[a] |= nbrs
             adj[a].discard(a)
             adj[a].discard(v)
-        stale = nbrs.union(*(adj[a] for a in nbrs)) if fill else nbrs
-        for x in stale:
-            s = score_of(adj, x)
+        for x in nbrs.union(*(adj[a] for a in nbrs)):
+            s = _fill_count(adj, x)
             if s != score[x]:
                 score[x] = s
                 heapq.heappush(heap, (s, label_key(x), x))
 
-    # bag i hangs off the bag of its neighbour eliminated next; in a
-    # connected graph only the last bag has no neighbour left
+    # bag i hangs off the bag of its neighbour eliminated next; elimination
+    # keeps each component connected, so every component's last bag, and
+    # only that bag, has no neighbour left
     parent = [
         min(elim_pos[x] for x in bag if elim_pos[x] > i) if len(bag) > 1 else None
         for i, bag in enumerate(raw_bags)
     ]
+    if parent.count(None) > 1:
+        raise GraphInputError("tree decomposition expects a connected graph")
     bags, edges = _contract_redundant(raw_bags, parent)
     remap = {old: new for new, old in enumerate(sorted(bags))}
     bags = {remap[i]: b for i, b in bags.items()}
@@ -158,10 +142,6 @@ def _fill_count(adj: dict, v) -> int:
     """Edges that eliminating ``v`` would add between its neighbours."""
     nbrs = adj[v]
     return sum(len(nbrs - adj[u]) - 1 for u in nbrs) // 2
-
-
-def _degree(adj: dict, v) -> int:
-    return len(adj[v])
 
 
 def _contract_redundant(raw_bags: list[frozenset], parent: list):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from meccount import Pdag, ShadowTable, UndirectedGraph, count_mecs
 from meccount.extension import _derived_table, extensions
-from meccount.mecrules import _pdag_from_code, is_chain_graph
+from meccount.mecrules import _pdag_on, is_chain_graph
 
 settings.register_profile(
     "suite",
@@ -111,7 +111,7 @@ def decoded_extensions(ctx, candidates, sh1s, sh2s):
     for sh in sh2s:
         F2.add(sh, 1)
     for code, i, j, p1, p2 in extensions(ctx, candidates, F1, F2):
-        O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
+        O = _pdag_on(ctx.a_graph.vertices, ctx.a_pairs, code)
         yield O, i, j, _derived_table(ctx, p1, p2)
 
 

@@ -284,10 +284,18 @@ def td_from_elimination_order(U, order, root=None):
     )
 
 
-def tree_decomposition_reference(U, heuristic="min_fill"):
-    """The elimination heuristics re-scored from scratch: every step scores
-    every vertex left (``min_fill``: the edges its elimination would add;
-    ``min_degree``: its current degree) and eliminates the least, ties on
+def td_from_random_order(U, rng):
+    """:func:`td_from_elimination_order` of a random order drawn from
+    ``rng``: a second decomposition shape besides min-fill's, with bags
+    min-fill would not build."""
+    order = list(U.vertices)
+    rng.shuffle(order)
+    return td_from_elimination_order(U, order)
+
+
+def tree_decomposition_reference(U):
+    """Min-fill re-scored from scratch: every step scores every vertex left
+    by the edges its elimination would add and eliminates the least, ties on
     the label.  Each bag is a vertex and its neighbours left, hung off the
     bag of the neighbour eliminated next; then, restarting a sorted scan of
     the tree edges after every merge, a bag contained in a tree neighbour
@@ -301,8 +309,6 @@ def tree_decomposition_reference(U, heuristic="min_fill"):
         adj[b].add(a)
 
     def score(v):
-        if heuristic == "min_degree":
-            return len(adj[v])
         return sum(1 for a, b in itertools.combinations(adj[v], 2) if b not in adj[a])
 
     elim_pos, raw_bags, elim_vertex = {}, [], []

@@ -174,7 +174,13 @@ class TestVerify:
         assert out.count("PASS") == 6
 
     def test_corrupt_hook_fails(self, capsys, fig1, monkeypatch):
-        monkeypatch.setenv("MECCOUNT_SELFTEST_CORRUPT", "1")
+        # an engine that answers one too many must be reported
+        real = meccount.cli.count_mecs
+
+        def off_by_one(G, method="auto"):
+            return real(G, method) + 1 if method == "fpt" else real(G, method)
+
+        monkeypatch.setattr(meccount.cli, "count_mecs", off_by_one)
         code, out, _ = run(capsys, "verify", fig1)
         assert code != 0
         assert "FAIL" in out

@@ -32,7 +32,7 @@ from meccount.extension import (
     protected_edges,
 )
 from meccount.graph import label_key
-from meccount.mecrules import VStructure, _pdag_from_code, v_structures
+from meccount.mecrules import VStructure, _pdag_on, v_structures
 from meccount.shadow import partial_mec_codes
 from meccount.tfp import EMPTY_TABLE, _close_p1, _close_p2, _seed_matrices
 from meccount.treedecomp import cut_last_child, tree_decomposition
@@ -252,7 +252,7 @@ class TestIntegerSidePieces:
                 sides = {s: _Side(ctx, s, ShadowTable(ctx.side_graph(s))) for s in (1, 2)}
                 subs = {1: {}, 2: {}}
                 for code, prot in partial_mec_codes(ctx.a_graph):
-                    O = _pdag_from_code(ctx.a_graph, ctx.a_pairs, code)
+                    O = _pdag_on(ctx.a_graph.vertices, ctx.a_pairs, code)
                     assert candidate_of(ctx, O) == (code, prot)
                     protected = protected_edges(O)
                     for s, side in sides.items():

@@ -16,7 +16,7 @@ from meccount import (
     enumerate_mecs,
     markov_union,
 )
-from meccount.graph import label_key
+from meccount.graph import _transpose, label_key
 from meccount.mecrules import _code_of_pdag, _pdag_on, _skeleton_pairs
 
 import oracles
@@ -278,6 +278,18 @@ class TestBitRows:
             halves = [Pdag(verts, und[:k], dire[:h]), Pdag(verts, und[k:], dire[h:])]
             _same(markov_union(halves), P)
             _same(markov_union([P, Pdag(verts, dire)]), P)
+
+    def test_undirected_graphs_have_symmetric_rows(self):
+        # UndirectedGraph.is_fully_undirected answers without a transpose,
+        # so every way of making one must leave its rows symmetric
+        rng = random.Random(34)
+        for _ in range(60):
+            verts, und, dire = _random_marked(rng, rng.randint(2, 9))
+            U, P = UndirectedGraph(verts, und + dire), Pdag(verts, und, dire)
+            S = rng.sample(verts, rng.randint(0, len(verts)))
+            for G in (U, U.induced_subgraph(S), P.skeleton(), P.skeleton().induced_subgraph(S)):
+                assert type(G) is UndirectedGraph and G.is_fully_undirected()
+                assert list(G._rows) == _transpose(G._rows)
 
     @pytest.mark.parametrize(
         "U",

@@ -14,7 +14,7 @@ from meccount import Pdag, UndirectedGraph
 from meccount import _kernels
 from meccount.mecrules import (
     _encode,
-    _pdag_from_code,
+    _pdag_on,
     _protected_pairs,
     is_mec,
     is_partial_mec,
@@ -92,7 +92,7 @@ class TestProtectionMasks:
             rows = _kernels.mark_codes(n, eu, ev, skel, False)
             whole = []
             for code, prot in rows:
-                P = _pdag_from_code(G, pairs, code)
+                P = _pdag_on(G.vertices, pairs, code)
                 assert prot == sum(1 << pos[e] for e in _protected_pairs(P))
                 reference = sum(
                     1 << pos[P._index[u], P._index[v]]

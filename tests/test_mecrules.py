@@ -26,7 +26,7 @@ from meccount.mecrules import (
     _code_of_masks,
     _encode,
     _orientation_classes,
-    _pdag_from_code,
+    _pdag_on,
     dag_member,
 )
 
@@ -248,7 +248,7 @@ class TestBruteCounts:
         full = (1 << len(pairs)) - 1
         out = {}
         for mask in _kernels.acyclic_masks(n, eu, ev, 0, 1 << len(pairs)):
-            D = _pdag_from_code(G, pairs, _code_of_masks(mask, full ^ mask))
+            D = _pdag_on(G.vertices, pairs, _code_of_masks(mask, full ^ mask))
             key = v_structures(D)
             fwd, rev = out.get(key, (0, 0))
             out[key] = (fwd | mask, rev | (full ^ mask))

@@ -58,7 +58,7 @@ def test_count_rec_total_does_not_depend_on_the_root():
     rng = random.Random(92)
     for _ in range(3):
         G = random_connected_graph(rng, rng.randint(8, 10), max_degree=3, extra=2)
-        td = tree_decomposition(G, "min_fill")
+        td = tree_decomposition(G)
         totals = {
             root: count_rec(
                 G, TreeDecomposition(bags=dict(td.bags), tree_edges=td.tree_edges, root=root), root
@@ -74,7 +74,7 @@ def test_count_rec_total_does_not_depend_on_the_decomposition():
     rng = random.Random(93)
     for _ in range(4):
         G = random_connected_graph(rng, rng.randint(8, 10), max_degree=3, extra=2)
-        td = tree_decomposition(G, "min_fill")
+        td = tree_decomposition(G)
         expected = count_rec(G, td, td.root).total()
         tried = 0
         while tried < 3:

@@ -11,7 +11,7 @@ from meccount import (
     tree_decomposition,
     validate_td,
 )
-from meccount import treedecomp
+from meccount import Pdag, treedecomp
 
 import oracles
 from conftest import random_connected_graph
@@ -32,20 +32,23 @@ def test_k4_width_three():
 
 def test_c4_width_two_min_fill():
     C4 = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
-    td = tree_decomposition(C4, "min_fill")
+    td = tree_decomposition(C4)
     assert td.width == 2
     assert validate_td(C4, td)
 
 
 def test_disconnected_rejected():
-    G = UndirectedGraph(vertices=[0, 1, 2], edges=[(0, 1)])
-    with pytest.raises(GraphInputError):
-        tree_decomposition(G)
+    for G in (
+        UndirectedGraph(vertices=[0, 1, 2], edges=[(0, 1)]),
+        UndirectedGraph(edges=[(0, 1), (2, 3), (3, 4)]),
+    ):
+        with pytest.raises(GraphInputError, match="connected"):
+            tree_decomposition(G)
 
 
-def test_unknown_heuristic():
-    with pytest.raises(GraphInputError):
-        tree_decomposition(UndirectedGraph(edges=[(0, 1)]), "magic")
+def test_directed_rejected():
+    with pytest.raises(GraphInputError, match="undirected"):
+        tree_decomposition(Pdag(directed=[(0, 1)]))
 
 
 def _mixed_labels(rng, G):
@@ -66,11 +69,10 @@ class TestAgainstReference:
         for k in range(520):
             n = rng.randint(2, 16)
             G = _mixed_labels(rng, random_connected_graph(rng, n, extra=rng.randint(0, 2 * n)))
-            for heuristic in ("min_fill", "min_degree"):
-                td = tree_decomposition(G, heuristic)
-                ref = oracles.tree_decomposition_reference(G, heuristic)
-                assert (td.bags, td.tree_edges, td.root) == (ref.bags, ref.tree_edges, ref.root)
-                contracted += len(td.bags) < n
+            td = tree_decomposition(G)
+            ref = oracles.tree_decomposition_reference(G)
+            assert (td.bags, td.tree_edges, td.root) == (ref.bags, ref.tree_edges, ref.root)
+            contracted += len(td.bags) < n
         assert contracted > 500
 
     def test_path_scores_linearly_many_fills(self, monkeypatch):
@@ -159,7 +161,7 @@ class TestValidateAgainstReference:
         rejected = 0
         for k in range(320):
             G = random_connected_graph(rng, rng.randint(3, 8))
-            td = tree_decomposition(G, ("min_fill", "min_degree")[k % 2])
+            td = oracles.td_from_random_order(G, rng) if k % 2 else tree_decomposition(G)
             assert oracles.validate_td_reference(G, td)
             bad = td
             for _ in range(rng.randint(1, 2)):
@@ -235,10 +237,10 @@ class TestCut:
 class TestCutInvariants:
     def test_cut_separator_and_union(self):
         rng = random.Random(14)
-        for heuristic in ("min_fill", "min_degree"):
+        for decompose in (tree_decomposition, lambda G: oracles.td_from_random_order(G, rng)):
             for _ in range(25):
                 G = random_connected_graph(rng, rng.randint(3, 9))
-                td = tree_decomposition(G, heuristic)
+                td = decompose(G)
                 assert validate_td(G, td)
                 stack = [td]
                 while stack:
