@@ -25,7 +25,7 @@ from .mecrules import (
     project_mec,
     v_structures,
 )
-from .shadow import Shadow, enumerate_partial_mecs, project_shadow, shadow_key, shadow_of_mec
+from .shadow import Shadow, enumerate_partial_mecs, project_shadow, shadow_of_mec
 from .tfp import TfpTable, is_canonical_source, tfp_exists, tfp_table
 from .treedecomp import TreeDecomposition, cut_last_child, tree_decomposition, validate_td
 
@@ -69,7 +69,6 @@ __all__ = [
     "markov_union",
     "project_mec",
     "project_shadow",
-    "shadow_key",
     "shadow_of_mec",
     "tfp_exists",
     "tfp_table",

@@ -3,13 +3,15 @@
 The brute-force layers spend essentially all of their time enumerating edge
 orientations (up to 2^m of them) or three-way edge marks (up to 3^m) over
 small dense graphs.  Those loops live here, written against flat integer
-rows and adjacency bitmasks on Python ints and lists, where a shift or mask
-costs several times less than on NumPy scalars.
+rows and neighbour bitmasks on Python ints and lists, where a shift or mask
+costs several times less than on NumPy scalars.  Python ints have no fixed
+width, so the kernels set no ceiling on vertices or edges; the callers'
+edge caps stop a sweep before its exponential cost starts.
 
 Graph encoding shared by every kernel:
 
-* ``n`` vertices indexed ``0..n-1`` (at most ``MAX_BITSET_VERTICES``),
-* skeleton edges as parallel lists ``eu``/``ev`` (``m`` edges, ``m <= 31``),
+* ``n`` vertices indexed ``0..n-1``,
+* skeleton edges as parallel lists ``eu``/``ev`` (``m`` edges),
 * ``skel`` as bitmask rows (bit ``j`` of ``skel[i]`` = edge ``i~j``).
 
 Orientations are encoded as ``m``-bit masks (bit ``j`` set means the edge is
@@ -31,33 +33,13 @@ so the filter search cuts an unprotected arc there.
 
 from __future__ import annotations
 
-from .errors import CapacityError
-
 # read by perfbench's environment stamp
 HAVE_NUMBA = False
-
-MAX_BITSET_VERTICES = 62
-MAX_TRIT_EDGES = 31
 
 
 def current_backend() -> str:
     # read by perfbench's environment stamp
     return "python"
-
-
-def check_bitset_capacity(n: int, m: int) -> None:
-    if n > MAX_BITSET_VERTICES:
-        raise CapacityError(
-            f"graph has {n} vertices; enumeration kernels support at most "
-            f"{MAX_BITSET_VERTICES}",
-            limit=MAX_BITSET_VERTICES,
-        )
-    if m > MAX_TRIT_EDGES:
-        raise CapacityError(
-            f"graph has {m} edges; mark enumeration supports at most "
-            f"{MAX_TRIT_EDGES}",
-            limit=MAX_TRIT_EDGES,
-        )
 
 
 def chordal_bits(n: int, und) -> bool:

@@ -96,11 +96,6 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     G = _read_graph(args.input)
-    if G.edge_count() > args.max_edges:
-        raise CapacityError(
-            f"{G.edge_count()} edges exceeds --max-edges {args.max_edges}",
-            limit=args.max_edges,
-        )
     if G.n == 0:
         print("count 1")
         return EXIT_OK

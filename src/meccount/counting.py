@@ -175,13 +175,16 @@ def count_components(G: Pdag, method: str = "auto") -> tuple[int, list]:
     ``auto`` decides per component: the brute route up to
     ``AUTO_BRUTE_EDGE_THRESHOLD`` edges, the engine above.
     """
-    if not G.is_fully_undirected():
+    # a graph is undirected exactly when it equals its skeleton, whose views
+    # read its rows as they are, with no transpose
+    U = G.skeleton()
+    if U != G:
         raise GraphInputError("counting expects an undirected skeleton")
     if method not in ("auto", "brute", "fpt"):
         raise GraphInputError(f"unknown method {method!r}")
-    comps = G.components()
+    comps = U.components()
     total, runs = 1, []
-    for part in [G] if len(comps) == 1 else [G.induced_subgraph(c) for c in comps]:
+    for part in [U] if len(comps) == 1 else [U.induced_subgraph(c) for c in comps]:
         route = method
         if route == "auto":
             route = "brute" if part.edge_count() <= AUTO_BRUTE_EDGE_THRESHOLD else "fpt"

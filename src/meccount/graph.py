@@ -7,8 +7,7 @@ labels, the encoding the enumeration kernels use: bit ``j`` of row ``i``
 records that the ordered pair ``(i, j)`` is present.  An undirected edge
 ``u - v`` contributes both ``(u, v)`` and ``(v, u)``, while a directed edge
 ``u -> v`` contributes only ``(u, v)``.  All reachable views (skeleton,
-undirected part, directed part) derive from those rows; only the
-:attr:`Pdag.adjacency` export builds a NumPy matrix.
+undirected part, directed part) derive from those rows.
 
 Graphs are immutable after construction and hashable, so they can be used
 as dictionary keys and shared freely.
@@ -121,19 +120,6 @@ class Pdag:
     @property
     def n(self) -> int:
         return len(self._labels)
-
-    @property
-    def adjacency(self):
-        """Read-only NumPy matrix of the ordered pairs, aligned with
-        :attr:`vertices`; built on each read, for callers outside the
-        package."""
-        import numpy as np
-
-        n = self.n
-        cells = [row >> j & 1 for row in self._rows for j in range(n)]
-        adj = np.array(cells, dtype=bool).reshape(n, n)
-        adj.setflags(write=False)
-        return adj
 
     def has_vertex(self, v: Label) -> bool:
         return v in self._index

@@ -183,7 +183,6 @@ def _encode(g: Pdag):
 def _encode_on(n: int, pairs):
     """Kernel encoding of the skeleton on ``n`` vertices whose edges are the
     index ``pairs``, in trit-code order."""
-    _kernels.check_bitset_capacity(n, len(pairs))
     eu = [i for i, _ in pairs]
     ev = [j for _, j in pairs]
     skel = [0] * n
@@ -216,17 +215,17 @@ def _collider_triples(n, pairs, skel):
     return e1, w1, e2, w2
 
 
-def _check_edge_cap(m: int, max_edges: int, sweep: str) -> None:
-    if m > max_edges:
+def _check_edge_cap(m: int, cap: int, sweep: str) -> None:
+    if m > cap:
         raise CapacityError(
-            f"{m} edges exceeds the {sweep} enumeration cap of {max_edges}",
-            limit=max_edges,
+            f"{m} edges exceeds the {sweep} enumeration cap of {cap}",
+            limit=cap,
         )
 
 
 def _code_rows(n: int, pairs, code: int) -> list[int]:
     """The graph that trit ``j`` of ``code`` marks on pair ``j = (i, k)``
-    (0 undirected, 1 ``i -> k``, 2 ``k -> i``) as adjacency rows: bit ``k``
+    (0 undirected, 1 ``i -> k``, 2 ``k -> i``) as bit rows: bit ``k``
     of row ``i`` is set when the ordered pair ``(i, k)`` is present."""
     adj = [0] * n
     for j, (i, k) in enumerate(pairs):
@@ -265,18 +264,28 @@ def _code_of_masks(fwd: int, rev: int) -> int:
     return int(format(fwd & ~rev, "b"), 4) | int(format(rev & ~fwd, "b"), 4) << 1
 
 
-def enumerate_acyclic_orientations(
-    U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP
-) -> Iterator[Pdag]:
-    """Yield every DAG orientation of ``U``, each exactly once, in a fixed order."""
-    _require_undirected(U)
+def _acyclic_chunks(U: Pdag, cap: int):
+    """``U``'s ``n``, ``skel`` and ``pairs`` (see :func:`_encode`), once its
+    edge count is within the orientation ``cap``, and its acyclic
+    orientation masks as ascending chunks of at most ``_CHUNK`` masks, each
+    computed when it is reached."""
     n, eu, ev, skel, pairs = _encode(U)
     m = len(pairs)
-    _check_edge_cap(m, max_edges, "orientation")
-    full = (1 << m) - 1
-    for lo in range(0, 1 << m, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << m)
-        for mask in _kernels.acyclic_masks(n, eu, ev, lo, hi):
+    _check_edge_cap(m, cap, "orientation")
+    chunks = (
+        _kernels.acyclic_masks(n, eu, ev, lo, min(lo + _CHUNK, 1 << m))
+        for lo in range(0, 1 << m, _CHUNK)
+    )
+    return n, skel, pairs, chunks
+
+
+def enumerate_acyclic_orientations(U: Pdag) -> Iterator[Pdag]:
+    """Yield every DAG orientation of ``U``, each exactly once, in a fixed order."""
+    _require_undirected(U)
+    _, _, pairs, chunks = _acyclic_chunks(U, DEFAULT_ORIENTATION_CAP)
+    full = (1 << len(pairs)) - 1
+    for masks in chunks:
+        for mask in masks:
             yield _pdag_on(U.vertices, pairs, _code_of_masks(mask, full ^ mask))
 
 
@@ -286,16 +295,12 @@ def _orientation_classes(U: Pdag, max_edges: int) -> dict[int, tuple[int, int]]:
     Returns ``fingerprint -> (fwd_seen, rev_seen)`` where the two masks
     record, per edge, which directions occur within the class.
     """
-    n, eu, ev, skel, pairs = _encode(U)
-    m = len(pairs)
-    _check_edge_cap(m, max_edges, "orientation")
+    n, skel, pairs, chunks = _acyclic_chunks(U, max_edges)
     e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
-    full = (1 << m) - 1
+    full = (1 << len(pairs)) - 1
     fwds: dict[int, int] = {}
     revs: dict[int, int] = {}
-    for lo in range(0, 1 << m, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << m)
-        masks = _kernels.acyclic_masks(n, eu, ev, lo, hi)
+    for masks in chunks:
         for mask, key in zip(masks, _kernels.collider_words(masks, e1, w1, e2, w2)):
             fwds[key] = fwds.get(key, 0) | mask
             revs[key] = revs.get(key, 0) | (full ^ mask)
@@ -310,8 +315,8 @@ def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list
 
 
 def _cells(P: Pdag) -> str:
-    """``P``'s ordered-pair cells row by row as a string of 0s and 1s,
-    which sorts as ``P.adjacency.tobytes()`` does among graphs of one size."""
+    """``P``'s ordered-pair cells row by row as a string of 0s and 1s, so
+    graphs of one size sort as their row-major 0/1 matrices of pairs do."""
     n = P.n
     flat = 0  # cell (u, v) at bit u * n + v
     for row in reversed(P._rows):
@@ -336,7 +341,7 @@ def brute_count_mecs(U: Pdag) -> int:
     return len(_orientation_classes(U, DEFAULT_ORIENTATION_CAP))
 
 
-def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -> int:
+def brute_count_mecs_andersson(U: Pdag) -> int:
     """Number of mark assignments over ``U`` passing :func:`is_mec`.
 
     Independent of the orientation route: a depth-first search over
@@ -345,7 +350,7 @@ def brute_count_mecs_andersson(U: Pdag, *, max_edges: int = DEFAULT_MARKS_CAP) -
     """
     _require_undirected(U)
     n, eu, ev, skel, pairs = _encode(U)
-    _check_edge_cap(len(pairs), max_edges, "mark")
+    _check_edge_cap(len(pairs), DEFAULT_MARKS_CAP, "mark")
     return len(_kernels.mark_codes(n, eu, ev, skel, True))
 
 

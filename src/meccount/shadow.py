@@ -14,7 +14,7 @@ from typing import Iterator
 
 from . import _kernels
 from .errors import GraphInputError, PreconditionError
-from .graph import Pdag, UndirectedGraph, _graph_on, label_key
+from .graph import Pdag, UndirectedGraph, _graph_on
 from .mecrules import (
     _check_edge_cap,
     _code_of_pdag,
@@ -59,10 +59,6 @@ class Shadow:
         object.__setattr__(self, "o", o)
         object.__setattr__(self, "table", table)
         return self
-
-    @property
-    def key(self) -> bytes:
-        return shadow_key(self)
 
 
 class ShadowTable:
@@ -227,49 +223,25 @@ def project_shadow(s: Shadow, X) -> Shadow:
     return Shadow._trusted(o, table)
 
 
-def partial_mec_codes(U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> list:
+def partial_mec_codes(U: Pdag) -> list:
     """Every partial MEC with skeleton ``U`` as the kernel gives it: pairs
     ``(code, protected)``, the trit code over ``U.skeleton_edges()`` in
     order and the bitmask of the strongly protected directed edges."""
     _require_undirected(U)
-    return _partial_mec_codes_on(U.n, _skeleton_pairs(U), max_edges=max_edges)
+    return _partial_mec_codes_on(U.n, _skeleton_pairs(U))
 
 
-def _partial_mec_codes_on(n: int, pairs, *, max_edges: int = DEFAULT_MARK_ENUM_CAP) -> list:
+def _partial_mec_codes_on(n: int, pairs) -> list:
     """:func:`partial_mec_codes` of the skeleton on ``n`` vertices whose
     edges are the index ``pairs``, in trit-code order."""
     n, eu, ev, skel, pairs = _encode_on(n, pairs)
-    _check_edge_cap(len(pairs), max_edges, "mark")
+    _check_edge_cap(len(pairs), DEFAULT_MARK_ENUM_CAP, "mark")
     return _kernels.mark_codes(n, eu, ev, skel, False)
 
 
-def enumerate_partial_mecs(
-    U: Pdag, *, max_edges: int = DEFAULT_MARK_ENUM_CAP
-) -> Iterator[Pdag]:
+def enumerate_partial_mecs(U: Pdag) -> Iterator[Pdag]:
     """Every partial MEC with skeleton ``U``, once each, deterministic order."""
     pairs = _skeleton_pairs(U)
-    for code, _ in partial_mec_codes(U, max_edges=max_edges):
+    for code, _ in partial_mec_codes(U):
         yield _pdag_on(U.vertices, pairs, code)
 
-
-def shadow_key(s: Shadow) -> bytes:
-    """Canonical byte encoding: equal shadows, equal keys, and conversely.
-
-    Stable across runs and platforms (plain sorted-tuple repr, no hashing).
-    """
-    o = s.o
-    verts = tuple(label_key(v) for v in o.vertices)
-    marks = []
-    for u, v in o.skeleton_edges():
-        if o.has_undirected(u, v):
-            marks.append((label_key(u), label_key(v), "-"))
-        elif o.has_directed(u, v):
-            marks.append((label_key(u), label_key(v), ">"))
-        else:
-            marks.append((label_key(u), label_key(v), "<"))
-    p1 = sorted(
-        ((label_key(a), label_key(b)), (label_key(x), label_key(y)))
-        for (a, b), (x, y) in s.table.p1
-    )
-    p2 = sorted(((label_key(a), label_key(b)), label_key(w)) for (a, b), w in s.table.p2)
-    return repr((verts, tuple(marks), tuple(p1), tuple(p2))).encode()

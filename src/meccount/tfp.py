@@ -56,7 +56,7 @@ EMPTY_TABLE = TfpTable(frozenset(), frozenset())
 
 # -- closure on integer rows ----------------------------------------------
 #
-# A graph on vertices 0..n-1 is its adjacency rows: bit v of ``adj[u]`` is
+# A graph on vertices 0..n-1 is its bit rows: bit v of ``adj[u]`` is
 # set when the ordered pair (u, v) is present.  Ordered pairs occupy slots
 # ``s = u * n + v``; ``p1[s]`` holds one bit per slot and ``p2[s]`` one bit
 # per vertex, for every slot s (zero where the pair is absent).
@@ -227,16 +227,17 @@ def _simple_path_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
     adj = P._rows
     sk = P._skeleton_rows()
     idx = P._index
-    start = [idx[from_edge[0]], idx[from_edge[1]]]
+    path = [idx[from_edge[0]], idx[from_edge[1]]]
     goal = (idx[to_edge[0]], idx[to_edge[1]]) if to_edge else None
     goal_v = idx[to_vertex] if to_vertex is not None else None
-
-    path = list(start)
     used = set(path)
-
-    def extend() -> bool:
+    # depth-first over the simple triangle-free paths from the start edge,
+    # with an explicit stack: one iterator over the continuations of each
+    # path vertex past the first, so no input can overflow the recursion
+    stack = [_bits(adj[path[-1]])]
+    while stack:
         a, b = path[-2], path[-1]
-        for c in _bits(adj[b]):
+        for c in stack[-1]:
             if c in used or sk[a] >> c & 1:
                 continue
             if goal is not None and (b, c) == goal:
@@ -245,13 +246,12 @@ def _simple_path_search(P: Pdag, from_edge, to_edge, to_vertex) -> bool:
                 return True
             path.append(c)
             used.add(c)
-            if extend():
-                return True
-            used.remove(c)
-            path.pop()
-        return False
-
-    return extend()
+            stack.append(_bits(adj[c]))
+            break
+        else:
+            stack.pop()
+            used.remove(path.pop())
+    return False
 
 
 def is_canonical_source(P: Pdag, s: Label) -> bool:

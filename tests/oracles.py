@@ -157,6 +157,13 @@ def dag_vstructs(U, arcs) -> frozenset:
     return frozenset(out)
 
 
+def adjacency_bytes(P) -> bytes:
+    """``P``'s ordered pairs as a row-major 0/1 byte matrix over its sorted
+    labels, read one cell at a time through ``has_ordered_edge``: the bytes
+    of a boolean adjacency matrix."""
+    return bytes(P.has_ordered_edge(u, v) for u in P.vertices for v in P.vertices)
+
+
 def count_mecs_by_dags(U) -> int:
     return len({dag_vstructs(U, arcs) for arcs in all_dag_orientations(U)})
 

@@ -17,7 +17,7 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
-from meccount import counting
+from meccount import counting, graph, mecrules
 from meccount.counting import AUTO_BRUTE_EDGE_THRESHOLD
 from meccount.tfp import EMPTY_TABLE
 from meccount.treedecomp import TreeDecomposition, tree_decomposition, validate_td
@@ -214,6 +214,26 @@ class TestCountMecs:
     def test_rejects_directed_input(self):
         with pytest.raises(GraphInputError):
             count_mecs(Pdag(directed=[("a", "b")]))
+
+    def test_plain_pdag_input_transposes_once(self, monkeypatch):
+        # a fully undirected plain Pdag is counted as its skeleton, whose
+        # views read its rows as they are: one transpose, for the check
+        edges = [(i, i + 1) for i in range(199)] + [("x", "y"), ("y", "z"), ("x", "z")]
+        want = count_mecs(UndirectedGraph(edges=edges))
+        transpose = graph._transpose
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return transpose(rows)
+
+        for mod in (graph, mecrules):
+            monkeypatch.setattr(mod, "_transpose", counted)
+        assert count_mecs(UndirectedGraph(edges=edges)) == want and calls == []
+        for method in ("auto", "fpt"):
+            calls.clear()
+            assert count_mecs(Pdag(undirected=edges), method) == want
+            assert len(calls) <= 1
 
     def test_long_path_leaves_recursion_limit_alone(self):
         n = 600

@@ -37,6 +37,7 @@ from meccount.shadow import partial_mec_codes
 from meccount.tfp import EMPTY_TABLE, _close_p1, _close_p2, _seed_matrices
 from meccount.treedecomp import cut_last_child, tree_decomposition
 
+import oracles
 from conftest import decoded_extensions, grid, ladder, random_chain_chordal, random_connected_graph
 
 
@@ -411,7 +412,8 @@ class TestIntegerClosure:
             for M in enumerate_mecs(U):
                 n = M.n
                 slots, seed1, seed2 = _seed_matrices(n, M._rows, U._rows)
-                assert slots == [s for s in range(n * n) if M.adjacency[s // n, s % n]]
+                cells = oracles.adjacency_bytes(M)
+                assert slots == [s for s in range(n * n) if cells[s]]
                 extra1, extra2 = _random_entries(rng, n, slots, rng.choice((0.0, 0.05, 0.2)))
                 _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng)
                 checked += 1

@@ -44,6 +44,14 @@ K3 = UndirectedGraph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
 P3 = UndirectedGraph(edges=[("a", "b"), ("b", "c")])
 
 
+def complete(n):
+    return UndirectedGraph(edges=[(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def no_sweep(*args):
+    raise AssertionError("the sweep started past its cap")
+
+
 class TestVStructures:
     def test_single_collider(self):
         P = pdag(dire=[("a", "b"), ("c", "b")])
@@ -187,9 +195,12 @@ class TestOrientationEnumeration:
             assert D.is_fully_directed()
             assert is_chain_graph(D)
 
-    def test_cap(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_acyclic_orientations(K3, max_edges=2))
+    def test_cap(self, monkeypatch):
+        # K8's 28 edges exceed DEFAULT_ORIENTATION_CAP (24)
+        monkeypatch.setattr(_kernels, "acyclic_masks", no_sweep)
+        with pytest.raises(CapacityError) as err:
+            list(enumerate_acyclic_orientations(complete(8)))
+        assert err.value.limit == mecrules.DEFAULT_ORIENTATION_CAP
 
     def test_matches_reference(self):
         for G in connected_graphs(4):
@@ -211,9 +222,20 @@ class TestBruteCounts:
         assert brute_count_mecs(K3) == 1
         assert brute_count_mecs_andersson(K3) == 1
 
-    def test_cap(self):
-        with pytest.raises(CapacityError):
-            brute_count_mecs_andersson(K3, max_edges=2)
+    def test_cap(self, monkeypatch):
+        # K6's 15 edges exceed DEFAULT_MARKS_CAP (12)
+        monkeypatch.setattr(_kernels, "mark_codes", no_sweep)
+        with pytest.raises(CapacityError) as err:
+            brute_count_mecs_andersson(complete(6))
+        assert err.value.limit == mecrules.DEFAULT_MARKS_CAP
+
+    def test_no_vertex_ceiling(self):
+        # the only limits are the edge caps: a single edge among 70 vertices
+        # has one class on every route
+        U = UndirectedGraph(vertices=range(70), edges=[(0, 69)])
+        assert brute_count_mecs(U) == 1
+        assert brute_count_mecs_andersson(U) == 1
+        assert len(enumerate_mecs(U)) == 1
 
     def test_oracle_agreement_exhaustive(self):
         for n in range(1, 5):

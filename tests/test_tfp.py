@@ -87,6 +87,13 @@ class TestTfpExists:
         assert tfp_exists(PATH, ("a", "b"), ("a", "b"))
         assert tfp_exists(PATH, ("a", "b"), "b")
 
+    def test_long_simple_path_leaves_recursion_alone(self):
+        # a directed cycle is no chain graph, so the query falls back to the
+        # simple-path search, which must walk 2,998 vertices deep
+        n = 3000
+        P = Pdag(directed=[(i, (i + 1) % n) for i in range(n)])
+        assert tfp_exists(P, (0, 1), 2998)
+
     def test_matches_independent_search(self):
         rng = random.Random(4)
         for _ in range(40):
