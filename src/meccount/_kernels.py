@@ -18,17 +18,21 @@ Orientations are encoded as ``m``-bit masks (bit ``j`` set means the edge is
 directed ``eu[j] -> ev[j]``).  Three-way marks are "trit codes": two bits
 per edge, ``0`` undirected, ``1`` for ``eu->ev``, ``2`` for ``ev->eu``.
 
-Both searches decide one edge per depth and keep, per depth ``d``, a row
-per vertex of what it reaches under the first ``d`` decisions
-(``desc``/``reach[d * n + v]``).  A push fills depth ``d + 1`` in one
-O(n) pass and a pop costs nothing, so each search node tests its new edge
-with a few bit operations instead of walking the partial graph.
-``mark_codes`` relies on every partial graph it keeps being a chain graph:
+Both searches decide one edge per depth and keep the partial graph as
+bitmask rows, set on a push and cleared on a pop.  ``acyclic_masks`` keeps
+only the decided out-rows and tests a new edge ``t -> h`` by walking them
+from ``h``, so a push or a pop costs one bit operation.  ``mark_codes``
+also keeps, per depth ``d``, a row per vertex of what it reaches under the
+first ``d`` marks (``reach[d * n + v]``), filled in one O(n) pass per
+push.  It relies on every partial graph it keeps being a chain graph:
 there, two vertices share an undirected component exactly when each
 reaches the other, so its reach rows also answer the component question.
-It decides each directed edge's protection at the depth where the last edge
-touching either endpoint is marked (only chordality waits for the leaves),
-so the filter search cuts an unprotected arc there.
+It decides each directed edge's protection at the depth where the last
+edge touching either endpoint is marked (only chordality waits for the
+leaves), so the filter search cuts an unprotected arc there; a caller that
+only counts can pick an edge order that puts those depths near the root.
+The protection test and the flag tests read ``far[v]``, the vertices
+neither ``v`` nor adjacent to it.
 """
 
 from __future__ import annotations
@@ -94,49 +98,54 @@ def chordal_bits(n: int, und) -> bool:
 def acyclic_masks(n: int, eu, ev, lo: int, hi: int) -> list[int]:
     """Orientation masks in ``[lo, hi)`` whose digraph is acyclic, ascending."""
     # depth-first search that decides edges from the highest bit down, 0
-    # before 1, so the masks come out ascending.  desc[d * n + v] is the set
-    # of vertices v reaches (v included) under the first d decisions.  A
-    # branch is cut when its new edge t -> h closes a cycle (h already
-    # reaches t) or its prefix leaves [lo, hi).
+    # before 1, so the masks come out ascending.  out[v] holds the decided
+    # edges out of v.  A branch is cut when its prefix leaves [lo, hi) or
+    # its new edge t -> h closes a cycle, that is, when a walk over the
+    # decided edges from h reaches t.
     m = len(eu)
-    desc = [0] * ((m + 1) * n)
-    for v in range(n):
-        desc[v] = 1 << v
+    out = [0] * n
     trial = [0] * (m + 1)
-    out = []
+    masks = []
     mask = 0
     d = 0
-    while d >= 0:
-        if d == m:
-            if lo <= mask and mask < hi:
-                out.append(mask)
-            d -= 1
+    while True:
+        if d < m and trial[d] < 2:
+            b = trial[d]
+            trial[d] = b + 1
+            j = m - 1 - d
+            mask = ((mask >> (j + 1) << 1) | b) << j
+            if mask >= hi or mask + (1 << j) <= lo:
+                continue
+            if b:
+                t, h = eu[j], ev[j]
+            else:
+                t, h = ev[j], eu[j]
+            front = out[h]
+            seen = front | 1 << h
+            while front and not (front >> t) & 1:
+                low = front & -front
+                front ^= low
+                new = out[low.bit_length() - 1] & ~seen
+                seen |= new
+                front |= new
+            if front:
+                continue  # h reaches t
+            out[t] |= 1 << h
+            d += 1
+            trial[d] = 0
             continue
-        b = trial[d]
-        if b == 2:
-            d -= 1
-            continue
-        trial[d] = b + 1
+        if d == m and lo <= mask < hi:
+            masks.append(mask)
+        d -= 1
+        if d < 0:
+            break
+        # undo the edge kept at depth d, the last one tried there
         j = m - 1 - d
-        mask = ((mask >> (j + 1) << 1) | b) << j
-        if mask >= hi or mask + (1 << j) <= lo:
-            continue
-        if b:
-            t, h = eu[j], ev[j]
+        if trial[d] == 2:
+            out[eu[j]] ^= 1 << ev[j]
         else:
-            t, h = ev[j], eu[j]
-        row = d * n
-        reach = desc[row + h]
-        if (reach >> t) & 1:
-            continue
-        for x in range(n):
-            r = desc[row + x]
-            if (r >> t) & 1:
-                r |= reach
-            desc[row + n + x] = r
-        d += 1
-        trial[d] = 0
-    return out
+            out[ev[j]] ^= 1 << eu[j]
+    return masks
 
 
 def collider_words(masks, e1, w1, e2, w2) -> list[int]:
@@ -158,20 +167,29 @@ def collider_words(masks, e1, w1, e2, w2) -> list[int]:
     return out
 
 
-def protected(n: int, x: int, y: int, skel, und, out, inb) -> bool:
-    """Is ``x -> y`` strongly protected?  ``und``/``out``/``inb`` are the
-    undirected, outgoing and incoming bitmask rows."""
-    if inb[x] & ~skel[y] & ~(1 << y):
+def far_rows(n: int, skel) -> list[int]:
+    """``far[v]``, the set of vertices neither ``v`` nor adjacent to it, of
+    the skeleton on bitmask rows ``skel``."""
+    full = (1 << n) - 1
+    return [full ^ (row | 1 << v) for v, row in enumerate(skel)]
+
+
+def protected(x: int, y: int, far, und, out, inb) -> bool:
+    """Is ``x -> y`` strongly protected?  ``far`` is :func:`far_rows` of
+    the skeleton; ``und``/``out``/``inb`` are the undirected, outgoing and
+    incoming bitmask rows."""
+    if inb[x] & far[y]:
         return True  # w -> x -> y with w, y non-adjacent
-    if inb[y] & ~skel[x] & ~(1 << x):
+    if inb[y] & far[x]:
         return True  # x -> y <- w with x, w non-adjacent
     if out[x] & inb[y]:
         return True  # x -> w -> y alongside x -> y
     cand = und[x] & inb[y]
-    for w in range(n):
-        if (cand >> w) & 1:
-            if cand & ~skel[w] & ~(1 << w):
-                return True  # w - x - w' with w -> y, w' -> y, w, w' non-adj
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if cand & far[low.bit_length() - 1]:
+            return True  # w - x - w' with w -> y, w' -> y, w, w' non-adj
     return False
 
 
@@ -202,6 +220,7 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     # or u or v) now reaches what its head reaches (y's row, or u's and
     # v's together); und/out/inb are undone when the search backs up.
     m = len(eu)
+    far = far_rows(n, skel)
     last = {w: j for j in range(m) for w in (eu[j], ev[j])}
     due = [[] for _ in range(m)]
     for j in range(m):
@@ -224,7 +243,7 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
             u, v = eu[d], ev[d]
             row = d * n
             if t == 0:
-                if inb[u] & ~skel[v] & ~(1 << v) or inb[v] & ~skel[u] & ~(1 << u):
+                if inb[u] & far[v] or inb[v] & far[u]:
                     continue
                 ru = reach[row + u]
                 rv = reach[row + v]
@@ -236,7 +255,7 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
                 und[v] |= 1 << u
             else:
                 x, y = (u, v) if t == 1 else (v, u)
-                if und[y] & ~skel[x] & ~(1 << x):
+                if und[y] & far[x]:
                     continue
                 head = reach[row + y]
                 if (head >> x) & 1:
@@ -250,7 +269,7 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
                 tj = c >> s & 3
                 if tj:
                     x, y = (a, b) if tj == 1 else (b, a)
-                    if protected(n, x, y, skel, und, out, inb):
+                    if protected(x, y, far, und, out, inb):
                         p |= 1 << (s >> 1)
                     elif require_protection:
                         break

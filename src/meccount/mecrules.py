@@ -95,16 +95,16 @@ def is_chain_graph(P: Pdag) -> bool:
 
 
 def _protection_rows(P: Pdag):
-    """``P`` as the protection kernel's bitmask rows ``skel, und, out, inb``
-    and its directed edges as index pairs."""
+    """``P`` as the protection kernel's bitmask rows ``far, und, out, inb``
+    (see :func:`_kernels.protected`) and its directed edges as index pairs."""
     rows = P._rows
     back = _transpose(rows)
-    skel = [row | col for row, col in zip(rows, back)]
+    far = _kernels.far_rows(P.n, [row | col for row, col in zip(rows, back)])
     und = [row & col for row, col in zip(rows, back)]
     out = [row & ~col for row, col in zip(rows, back)]
     inb = [col & ~row for row, col in zip(rows, back)]
     directed = [(i, j) for i, row in enumerate(out) for j in _bits(row)]
-    return (skel, und, out, inb), directed
+    return (far, und, out, inb), directed
 
 
 def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
@@ -117,7 +117,7 @@ def _protected_pairs(P: Pdag) -> list[tuple[int, int]]:
     the class enumeration uses, on bitmask rows.
     """
     rows, directed = _protection_rows(P)
-    return [(i, j) for i, j in directed if _kernels.protected(P.n, i, j, *rows)]
+    return [(i, j) for i, j in directed if _kernels.protected(i, j, *rows)]
 
 
 def is_strongly_protected(P: Pdag, e: Edge) -> bool:
@@ -126,7 +126,7 @@ def is_strongly_protected(P: Pdag, e: Edge) -> bool:
     if not P.has_directed(u, v):
         raise GraphInputError(f"({u!r}, {v!r}) is not a directed edge")
     rows, _ = _protection_rows(P)
-    return _kernels.protected(P.n, P._index[u], P._index[v], *rows)
+    return _kernels.protected(P._index[u], P._index[v], *rows)
 
 
 def _no_flag_pattern(P: Pdag) -> bool:
@@ -264,38 +264,41 @@ def _code_of_masks(fwd: int, rev: int) -> int:
     return int(format(fwd & ~rev, "b"), 4) | int(format(rev & ~fwd, "b"), 4) << 1
 
 
-def _acyclic_chunks(U: Pdag, cap: int):
-    """``U``'s ``n``, ``skel`` and ``pairs`` (see :func:`_encode`), once its
-    edge count is within the orientation ``cap``, and its acyclic
-    orientation masks as ascending chunks of at most ``_CHUNK`` masks, each
-    computed when it is reached."""
-    n, eu, ev, skel, pairs = _encode(U)
+def _acyclic_chunks(enc, cap: int):
+    """The acyclic orientation masks of the encoded skeleton ``enc`` (see
+    :func:`_encode`), once its edge count is within the orientation
+    ``cap``, as ascending chunks of at most ``_CHUNK`` masks, each computed
+    when it is reached."""
+    n, eu, ev, _, pairs = enc
     m = len(pairs)
     _check_edge_cap(m, cap, "orientation")
-    chunks = (
+    return (
         _kernels.acyclic_masks(n, eu, ev, lo, min(lo + _CHUNK, 1 << m))
         for lo in range(0, 1 << m, _CHUNK)
     )
-    return n, skel, pairs, chunks
 
 
 def enumerate_acyclic_orientations(U: Pdag) -> Iterator[Pdag]:
     """Yield every DAG orientation of ``U``, each exactly once, in a fixed order."""
     _require_undirected(U)
-    _, _, pairs, chunks = _acyclic_chunks(U, DEFAULT_ORIENTATION_CAP)
+    enc = _encode(U)
+    pairs = enc[4]
+    chunks = _acyclic_chunks(enc, DEFAULT_ORIENTATION_CAP)
     full = (1 << len(pairs)) - 1
     for masks in chunks:
         for mask in masks:
             yield _pdag_on(U.vertices, pairs, _code_of_masks(mask, full ^ mask))
 
 
-def _orientation_classes(U: Pdag, max_edges: int) -> dict[int, tuple[int, int]]:
-    """Group acyclic orientations by collider fingerprint.
+def _orientation_classes(enc, max_edges: int) -> dict[int, tuple[int, int]]:
+    """Group the acyclic orientations of the encoded skeleton ``enc`` (see
+    :func:`_encode`) by collider fingerprint.
 
     Returns ``fingerprint -> (fwd_seen, rev_seen)`` where the two masks
     record, per edge, which directions occur within the class.
     """
-    n, skel, pairs, chunks = _acyclic_chunks(U, max_edges)
+    n, _, _, skel, pairs = enc
+    chunks = _acyclic_chunks(enc, max_edges)
     e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
     full = (1 << len(pairs)) - 1
     fwds: dict[int, int] = {}
@@ -330,7 +333,8 @@ def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]
     _require_undirected(U)
     if U.edge_count() == 0:
         return [0]
-    return [_code_of_masks(fwd, rev) for fwd, rev in _orientation_classes(U, max_edges).values()]
+    classes = _orientation_classes(_encode(U), max_edges)
+    return [_code_of_masks(fwd, rev) for fwd, rev in classes.values()]
 
 
 def brute_count_mecs(U: Pdag) -> int:
@@ -338,7 +342,7 @@ def brute_count_mecs(U: Pdag) -> int:
     _require_undirected(U)
     if U.edge_count() == 0:
         return 1
-    return len(_orientation_classes(U, DEFAULT_ORIENTATION_CAP))
+    return len(_orientation_classes(_encode(U), DEFAULT_ORIENTATION_CAP))
 
 
 def brute_count_mecs_andersson(U: Pdag) -> int:
@@ -347,11 +351,37 @@ def brute_count_mecs_andersson(U: Pdag) -> int:
     Independent of the orientation route: a depth-first search over
     three-way edge marks that keeps exactly the assignments meeting the
     characterization, cutting a branch as soon as its marks violate it.
+    Only the number of assignments is kept, so the search marks the edges
+    in :func:`_mcs_edge_order`, which decides protection nearer the root
+    than the trit order does.
     """
     _require_undirected(U)
-    n, eu, ev, skel, pairs = _encode(U)
+    n, _, _, skel, pairs = _encode(U)
     _check_edge_cap(len(pairs), DEFAULT_MARKS_CAP, "mark")
+    _, eu, ev, _, _ = _encode_on(n, _mcs_edge_order(n, skel, pairs))
     return len(_kernels.mark_codes(n, eu, ev, skel, True))
+
+
+def _mcs_edge_order(n: int, skel, pairs) -> list[tuple[int, int]]:
+    """``pairs`` sorted by the later, then the earlier position of their
+    ends in a maximum-cardinality search (Tarjan & Yannakakis 1984) of the
+    graph on bitmask rows ``skel``.  The search visits next the vertex with
+    the most visited neighbours, ties to the larger degree, then the lower
+    index, so it starts at a vertex of largest degree.  Each vertex's edges
+    back to the vertices visited before it are then marked together, so the
+    edges at the two ends of an arc tend to be marked close together, and
+    its protection, final once they all are, is decided nearer the root."""
+    deg = [bin(row).count("1") for row in skel]
+    weight = [0] * n
+    pos = [0] * n
+    left = set(range(n))
+    for step in range(n):
+        v = max(left, key=lambda i: (weight[i], deg[i], -i))
+        left.remove(v)
+        pos[v] = step
+        for w in _bits(skel[v]):
+            weight[w] += 1
+    return sorted(pairs, key=lambda p: (max(pos[p[0]], pos[p[1]]), min(pos[p[0]], pos[p[1]])))
 
 
 def cpdag_of_dag(D: Pdag) -> Pdag:
@@ -367,14 +397,15 @@ def cpdag_of_dag(D: Pdag) -> Pdag:
     if D.edge_count() == 0:
         return Pdag(vertices=D.vertices)
     U = D.skeleton()
-    n, eu, ev, skel, pairs = _encode(U)
+    enc = _encode(U)
+    n, _, _, skel, pairs = enc
     # D's collider fingerprint names its class among all orientations
     dmask = 0
     for j, (i, k) in enumerate(pairs):
         if D._rows[i] >> k & 1:
             dmask |= 1 << j
     (key,) = _kernels.collider_words([dmask], *_collider_triples(n, pairs, skel))
-    fwd, rev = _orientation_classes(U, DEFAULT_ORIENTATION_CAP)[key]
+    fwd, rev = _orientation_classes(enc, DEFAULT_ORIENTATION_CAP)[key]
     M = _pdag_on(U.vertices, pairs, _code_of_masks(fwd, rev))
     if not is_mec(M):
         raise InternalInvariantError("orientation-union graph fails the MEC test")

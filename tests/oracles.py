@@ -372,7 +372,9 @@ def mark_codes_reference(n: int, eu, ev, skel, require_protection: bool) -> list
     undirected/outgoing/incoming bitmask rows and tested by walking the
     whole partial graph to a fixpoint, and protection is tested only at the
     leaves, so this is also the leaf-only protection reference.  The leaf
-    checks are the kernel's own ``chordal_bits`` and ``protected``."""
+    checks are the kernel's own ``chordal_bits`` and ``protected``, the
+    latter given each vertex's complement ``far`` of itself and its
+    neighbours."""
     # depth-first enumeration of edge-mark assignments that give a chain
     # graph with chordal undirected components and no induced x->y-w; with
     # require_protection also every directed edge protected.  Partial
@@ -384,6 +386,7 @@ def mark_codes_reference(n: int, eu, ev, skel, require_protection: bool) -> list
     und = [0] * n
     out = [0] * n
     inb = [0] * n
+    far = [~(row | 1 << v) for v, row in enumerate(skel)]
     codes = []
     d = 0
     while True:
@@ -398,7 +401,7 @@ def mark_codes_reference(n: int, eu, ev, skel, require_protection: bool) -> list
                         x, y = ev[j], eu[j]
                     else:
                         continue
-                    if _kernels.protected(n, x, y, skel, und, out, inb):
+                    if _kernels.protected(x, y, far, und, out, inb):
                         prot |= 1 << j
                     elif require_protection:
                         ok = False

@@ -135,6 +135,34 @@ class TestAcyclicMasksAgainstReference:
             assert got == oracles.acyclic_masks_reference(n, eu, ev, lo, hi)
 
 
+class TestAcyclicMasksLongWalks:
+    # a path and a cycle make the cycle test walk far, complete graphs
+    # give it dense rows: shapes the random graphs above (n <= 8) miss.
+    # Each comes with its number of acyclic orientations (K_{4,4}'s is the
+    # poly-Bernoulli number B_4^(-4))
+    GRAPHS = [
+        (UndirectedGraph(edges=[(i, i + 1) for i in range(15)]), 2**15),
+        (UndirectedGraph(edges=[(i, (i + 1) % 12) for i in range(12)]), 2**12 - 2),
+        (UndirectedGraph(edges=[(i, j) for i in range(6) for j in range(i + 1, 6)]), 720),
+        (UndirectedGraph(edges=[(i, j) for i in range(4) for j in range(4, 8)]), 6902),
+    ]
+
+    @pytest.mark.parametrize("G, acyclic", GRAPHS, ids=["path16", "cycle12", "K6", "K4,4"])
+    def test_whole_range_and_chunks(self, G, acyclic):
+        n, eu, ev, skel, pairs = _encode(G)
+        m = len(pairs)
+        ref = oracles.acyclic_masks_reference(n, eu, ev, 0, 1 << m)
+        assert len(ref) == acyclic
+        assert _kernels.acyclic_masks(n, eu, ev, 0, 1 << m) == ref
+        for step in (1000, 4099):
+            parts = [
+                mask
+                for lo in range(0, 1 << m, step)
+                for mask in _kernels.acyclic_masks(n, eu, ev, lo, min(lo + step, 1 << m))
+            ]
+            assert parts == ref
+
+
 class TestMarkCodesAgainstReference:
     # the kernel's per-depth reach rows and early protection tests must
     # keep exactly the rows the reference's whole-graph walks and leaf-only

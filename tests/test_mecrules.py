@@ -254,6 +254,34 @@ class TestBruteCounts:
             done += 1
             assert brute_count_mecs(G) == brute_count_mecs_andersson(G)
 
+    def test_filter_route_decides_protection_early(self, monkeypatch):
+        # a count of protection tests, so the host's speed cannot affect
+        # it: in maximum-cardinality-search order the filter route decides
+        # protection nearer the root than in trit order, for the same counts
+        rng = random.Random(1)
+        batch = []
+        while len(batch) < 40:
+            G = random_connected_graph(rng, rng.randint(6, 9))
+            if 8 <= G.edge_count() <= 12:
+                batch.append(G)
+        calls = 0
+        protected = _kernels.protected
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return protected(*args)
+
+        monkeypatch.setattr(_kernels, "protected", counting)
+        counts = [brute_count_mecs_andersson(G) for G in batch]
+        searched, calls = calls, 0
+        in_trit_order = []
+        for G in batch:
+            n, eu, ev, skel, pairs = _encode(G)
+            in_trit_order.append(len(_kernels.mark_codes(n, eu, ev, skel, True)))
+        assert counts == in_trit_order
+        assert (searched, calls) == (91413, 120227)
+
     def test_star_k1_12_fills_two_fingerprint_words(self):
         # 66 potential colliders at the hub: a fingerprint wider than 64 bits
         star = UndirectedGraph(edges=[(0, i) for i in range(1, 13)])
@@ -285,7 +313,7 @@ class TestBruteCounts:
             G = random_connected_graph(rng, rng.randint(2, 7))
             if G.edge_count() > 12:
                 continue
-            got = sorted(_orientation_classes(G, 24).values())
+            got = sorted(_orientation_classes(_encode(G), 24).values())
             assert got == sorted(self._classes_one_by_one(G).values())
 
     def test_enumerate_mecs_all_pass_filter(self):
@@ -320,6 +348,19 @@ class TestCpdag:
                 assert M.skeleton() == G
                 assert v_structures(M) == v_structures(D)
                 assert is_mec(M)
+
+    def test_encodes_skeleton_once(self, monkeypatch):
+        calls = []
+        encode = mecrules._encode
+
+        def counting(g):
+            calls.append(g)
+            return encode(g)
+
+        monkeypatch.setattr(mecrules, "_encode", counting)
+        D = pdag(dire=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
+        assert cpdag_of_dag(D) == pdag(dire=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
+        assert calls == [D.skeleton()]
 
 
 class TestProjection:
