@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from .counting import count_components, count_mecs
+from .counting import count_components, count_mecs, rooted_for_fold
 from .errors import CapacityError, GraphInputError, InternalInvariantError, PreconditionError
 from .graph import UndirectedGraph
 from .mecrules import enumerate_mecs
@@ -145,7 +145,9 @@ def cmd_verify(args) -> int:
 
 def cmd_td(args) -> int:
     G = _read_graph(args.input)
-    decompositions = [tree_decomposition(G.induced_subgraph(c)) for c in G.components()]
+    # rooted where `count` folds each component from
+    parts = [G.induced_subgraph(c) for c in G.components()]
+    decompositions = [rooted_for_fold(U, tree_decomposition(U)) for U in parts]
     if args.json:
         payload = {
             "components": [
@@ -167,6 +169,7 @@ def cmd_td(args) -> int:
                 print(f"{prefix}bag {i}: {' '.join(sorted(map(str, td.bags[i])))}")
             for a, b in sorted(td.tree_edges):
                 print(f"{prefix}edge {a} {b}")
+            print(f"{prefix}root {td.root}")
         print(f"width {max((td.width for td in decompositions), default=0)}")
     return EXIT_OK
 

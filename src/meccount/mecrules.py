@@ -290,16 +290,17 @@ def enumerate_acyclic_orientations(U: Pdag) -> Iterator[Pdag]:
             yield _pdag_on(U.vertices, pairs, _code_of_masks(mask, full ^ mask))
 
 
-def _orientation_classes(enc, max_edges: int) -> dict[int, tuple[int, int]]:
+def _orientation_classes(enc, max_edges: int, triples=None) -> dict[int, tuple[int, int]]:
     """Group the acyclic orientations of the encoded skeleton ``enc`` (see
-    :func:`_encode`) by collider fingerprint.
+    :func:`_encode`) by collider fingerprint; ``triples`` are its potential
+    collider triples (see :func:`_collider_triples`), if already built.
 
     Returns ``fingerprint -> (fwd_seen, rev_seen)`` where the two masks
     record, per edge, which directions occur within the class.
     """
     n, _, _, skel, pairs = enc
     chunks = _acyclic_chunks(enc, max_edges)
-    e1, w1, e2, w2 = _collider_triples(n, pairs, skel)
+    e1, w1, e2, w2 = triples or _collider_triples(n, pairs, skel)
     full = (1 << len(pairs)) - 1
     fwds: dict[int, int] = {}
     revs: dict[int, int] = {}
@@ -312,8 +313,9 @@ def _orientation_classes(enc, max_edges: int) -> dict[int, tuple[int, int]]:
 
 def enumerate_mecs(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[Pdag]:
     """All class-representative graphs over skeleton ``U``, deterministically ordered."""
-    pairs = _skeleton_pairs(U)
-    mecs = [_pdag_on(U.vertices, pairs, code) for code in mec_codes(U, max_edges=max_edges)]
+    _require_undirected(U)
+    enc = _encode(U)
+    mecs = [_pdag_on(U.vertices, enc[4], code) for code in _mec_codes(enc, max_edges)]
     return sorted(mecs, key=_cells)
 
 
@@ -331,9 +333,14 @@ def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]
     """The classes over skeleton ``U`` as trit codes over its skeleton edges
     (see :func:`_pdag_on`), one per class."""
     _require_undirected(U)
-    if U.edge_count() == 0:
+    return _mec_codes(_encode(U), max_edges)
+
+
+def _mec_codes(enc, max_edges: int) -> list[int]:
+    """:func:`mec_codes` of the encoded skeleton ``enc`` (see :func:`_encode`)."""
+    if not enc[4]:
         return [0]
-    classes = _orientation_classes(_encode(U), max_edges)
+    classes = _orientation_classes(enc, max_edges)
     return [_code_of_masks(fwd, rev) for fwd, rev in classes.values()]
 
 
@@ -404,8 +411,9 @@ def cpdag_of_dag(D: Pdag) -> Pdag:
     for j, (i, k) in enumerate(pairs):
         if D._rows[i] >> k & 1:
             dmask |= 1 << j
-    (key,) = _kernels.collider_words([dmask], *_collider_triples(n, pairs, skel))
-    fwd, rev = _orientation_classes(enc, DEFAULT_ORIENTATION_CAP)[key]
+    triples = _collider_triples(n, pairs, skel)
+    (key,) = _kernels.collider_words([dmask], *triples)
+    fwd, rev = _orientation_classes(enc, DEFAULT_ORIENTATION_CAP, triples)[key]
     M = _pdag_on(U.vertices, pairs, _code_of_masks(fwd, rev))
     if not is_mec(M):
         raise InternalInvariantError("orientation-union graph fails the MEC test")

@@ -227,6 +227,24 @@ class TestTd:
         assert d["width"] == 2
         assert len(d["components"]) == 1
 
+    def test_root_is_the_bag_count_folds_from(self, capsys, tmp_path, monkeypatch):
+        # a degree-3 tree whose fold costs least away from bag 0
+        p = tmp_path / "tree.txt"
+        p.write_text("a b\nb c\nb d\nd e\ne f\ne g\ng h\nh i\nh j\nc k\nk l\nk m\n")
+        folded = []
+        real = meccount.counting._count_rec
+
+        def recorded(nbrs, td, rank=None):
+            folded.append(td.root)
+            return real(nbrs, td, rank)
+
+        monkeypatch.setattr(meccount.counting, "_count_rec", recorded)
+        assert run(capsys, "count", str(p), "--method", "fpt")[0] == 0
+        _, out, _ = run(capsys, "td", str(p), "--json")
+        assert [c["root"] for c in json.loads(out)["components"]] == folded != [0]
+        _, out, _ = run(capsys, "td", str(p))
+        assert out.strip().splitlines()[-2:] == [f"root {folded[0]}", "width 1"]
+
 
 def test_readme_cli_lines_parse():
     # parse only: every documented invocation must name existing options

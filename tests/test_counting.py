@@ -1,3 +1,4 @@
+import logging
 import random
 import sys
 from pathlib import Path
@@ -457,3 +458,109 @@ class TestClosedFormsAtScale:
         G = UndirectedGraph(edges=[(perm[u], perm[v]) for u, v in workloads.ladder_edges(6)])
         assert count_mecs(G) == workloads.PINNED["ladder2x6"]
 
+
+
+def _glue_by_root(G, td, monkeypatch):
+    """Per root of ``td``, the sum of ``3 ** k`` over the cuts the fold of
+    ``G`` from that root builds, ``k`` the a-graph's vertex count."""
+    built = []
+    real = counting._combine_tables
+
+    def recorded(F, *args):
+        built.append(3 ** len(F.labels))
+        return real(F, *args)
+
+    glue = {}
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_combine_tables", recorded)
+        for root in td.indices:
+            built.clear()
+            rooted = TreeDecomposition(bags=td.bags, tree_edges=td.tree_edges, root=root)
+            counting._count_rec(*counting._in_fold_order(G, rooted))
+            glue[root] = sum(built)
+    return glue
+
+
+def _shuffled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return UndirectedGraph(vertices=range(n), edges=[(perm[u], perm[v]) for u, v in edges])
+
+
+class TestFoldRoot:
+    def test_estimate_is_the_glue_the_fold_builds(self, monkeypatch):
+        rng = random.Random(91)
+        rootings = 0
+        for _ in range(120):
+            G = random_connected_graph(rng, rng.randint(4, 8))
+            td = tree_decomposition(G)
+            assert counting.glue_estimates(G, td) == _glue_by_root(G, td, monkeypatch)
+            rootings += len(td.bags)
+        assert rootings > 400
+
+    def test_root_is_the_least_glue_lower_index_on_a_tie(self, monkeypatch):
+        rng = random.Random(92)
+        graphs = [random_connected_graph(rng, rng.randint(5, 8)) for _ in range(30)]
+        graphs += [_shuffled(n, workloads.random_tree_edges(n, 3, rng), rng) for n in (10, 12, 14)]
+        moved = ties = 0
+        for G in graphs:
+            td = tree_decomposition(G)
+            root = counting.rooted_for_fold(G, td).root
+            if all(len(td.children(i)) < 2 for i in td.bags):
+                assert root == td.root  # a path rooted at an end stays as it is
+                continue
+            glue = _glue_by_root(G, td, monkeypatch)
+            least = min(glue.values())
+            assert root == min(i for i in glue if glue[i] == least)
+            moved += root != td.root
+            ties += list(glue.values()).count(least) > 1
+        assert moved and ties
+
+    def test_rerooted_counts_and_decompositions(self):
+        rng = random.Random(93)
+        for n in (20, 31, 44):
+            edges = workloads.random_tree_edges(n, 3, rng)
+            G = _shuffled(n, edges, rng)
+            total, [(route, td)] = counting.count_components(G, "fpt")
+            assert total == workloads.tree_count(edges, n)
+            assert route == "fpt" and validate_td(G, td)
+        for G in (UndirectedGraph(edges=workloads.path_edges(30)), ladder(6)):
+            _, [(_, td)] = counting.count_components(G, "fpt")
+            assert td.root == 0
+
+    def test_trees_glue_fewer_pairs(self, monkeypatch):
+        # a timer-free pin of the work the root choice saves
+        pairs = []
+        real = counting.extensions
+
+        def recorded(*args):
+            for out in real(*args):
+                pairs.append(1)
+                yield out
+
+        monkeypatch.setattr(counting, "extensions", recorded)
+        rng = random.Random(94)
+        batch = []
+        for n in (36, 42, 48, 54):
+            edges = workloads.random_tree_edges(n, 3, rng)
+            batch.append((_shuffled(n, edges, rng), workloads.tree_count(edges, n)))
+
+        def glued():
+            pairs.clear()
+            for G, expected in batch:
+                assert count_mecs(G) == expected
+            return len(pairs)
+
+        chosen = glued()
+        monkeypatch.setattr(counting, "rooted_for_fold", lambda U, td: td)
+        assert chosen == 2006 < glued()  # 2,927 from bag 0
+
+    def test_debug_log_names_each_components_root(self, caplog):
+        edges = workloads.random_tree_edges(20, 3, random.Random(95))
+        G = UndirectedGraph(edges=edges + [(f"p{i}", f"p{i + 1}") for i in range(12)])
+        with caplog.at_level(logging.DEBUG, logger="meccount.counting"):
+            _, runs = counting.count_components(G, "fpt")
+        lines = [r.getMessage() for r in caplog.records if r.name == "meccount.counting"]
+        assert len(lines) == len(runs) == 2
+        for line, (_, td) in zip(lines, runs):
+            assert line.startswith(f"{len(td.bags)} bags, width {td.width}: root {td.root}, ")

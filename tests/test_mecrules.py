@@ -209,6 +209,21 @@ class TestOrientationEnumeration:
             assert {tuple(sorted(o)) for o in ours} == ref
 
 
+def test_enumerate_mecs_encodes_the_skeleton_once(monkeypatch):
+    calls = []
+    skeleton_edges = Pdag.skeleton_edges
+
+    def counted(self):
+        calls.append(self)
+        return skeleton_edges(self)
+
+    C4 = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+    expected = brute_count_mecs(C4)
+    monkeypatch.setattr(Pdag, "skeleton_edges", counted)
+    assert len(enumerate_mecs(C4)) == expected
+    assert calls == [C4]
+
+
 class TestBruteCounts:
     def test_fig1(self):
         assert brute_count_mecs(FIG1) == 2
@@ -361,6 +376,19 @@ class TestCpdag:
         D = pdag(dire=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
         assert cpdag_of_dag(D) == pdag(dire=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
         assert calls == [D.skeleton()]
+
+    def test_builds_collider_triples_once(self, monkeypatch):
+        calls = []
+        triples = mecrules._collider_triples
+
+        def counted(*args):
+            calls.append(args)
+            return triples(*args)
+
+        monkeypatch.setattr(mecrules, "_collider_triples", counted)
+        D = pdag(dire=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
+        assert cpdag_of_dag(D) == D
+        assert len(calls) == 1
 
 
 class TestProjection:
