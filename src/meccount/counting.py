@@ -23,7 +23,7 @@ from .extension import _check_split, _Cut, _cut_frame, _induced, extensions
 from .graph import Pdag, UndirectedGraph
 from .mecrules import brute_count_mecs, mec_codes
 from .shadow import ShadowTable, _partial_mec_codes_on
-from .treedecomp import TreeDecomposition, tree_decomposition, validate_td
+from .treedecomp import _bfs_rank, TreeDecomposition, tree_decomposition, validate_td
 
 AUTO_BRUTE_EDGE_THRESHOLD = 10
 
@@ -293,9 +293,9 @@ def glue_estimates(U: Pdag, td: TreeDecomposition) -> dict[int, int]:
 
 
 def _in_fold_order(U: Pdag, td: TreeDecomposition) -> tuple:
-    """``U``'s neighbour sets and ``td``, with the vertices relabelled
-    ``0..n-1`` in the preorder position of each one's first bag, ties by
-    label.
+    """``U``'s neighbour sets and ``td``, a decomposition of the connected
+    graph ``U``, with the vertices relabelled ``0..n-1`` in the preorder
+    position of each one's first bag, ties by :func:`_bfs_rank`.
 
     The fold reads bag graphs and a-graphs as index pairs over sorted
     labels, so in these labels cuts with the same local structure get the
@@ -305,8 +305,10 @@ def _in_fold_order(U: Pdag, td: TreeDecomposition) -> tuple:
     for k, i in enumerate(td.preorder):
         for v in td.bags[i]:
             first.setdefault(v, k)
-    order = sorted(U.vertices, key=first.__getitem__)  # stable: ties stay by label
+    adj = U.neighbor_sets()
+    rank = _bfs_rank(adj)
+    order = sorted(U.vertices, key=lambda v: (first[v], rank[v]))
     new = {v: k for k, v in enumerate(order)}
-    nbrs = {new[v]: {new[u] for u in vs} for v, vs in U.neighbor_sets().items()}
+    nbrs = {new[v]: {new[u] for u in vs} for v, vs in adj.items()}
     bags = {i: frozenset(map(new.__getitem__, b)) for i, b in td.bags.items()}
     return nbrs, TreeDecomposition(bags=bags, tree_edges=td.tree_edges, root=td.root)

@@ -81,8 +81,10 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
     """Min-fill decomposition from an elimination ordering.
 
     Each step eliminates the vertex whose elimination adds the fewest edges,
-    ties broken on the label.  Bags contained in a tree-neighbor bag are
-    contracted away.  No width guarantee.
+    ties broken by the vertex's place in :func:`_bfs_rank`'s walk rather than
+    by its label, so that relabelling the input seldom moves the bags.
+    Bags contained in a tree-neighbor bag are contracted away.  No width
+    guarantee.
 
     Scores sit in a heap with lazy deletion (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
@@ -96,8 +98,11 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
         return TreeDecomposition(bags={0: frozenset()}, tree_edges=frozenset(), root=0)
 
     adj = U.neighbor_sets()
+    rank = _bfs_rank(adj)
+    if len(rank) < U.n:
+        raise GraphInputError("tree decomposition expects a connected graph")
     score = {v: _fill_count(adj, v) for v in adj}
-    heap = [(s, label_key(v), v) for v, s in score.items()]
+    heap = [(s, rank[v], v) for v, s in score.items()]
     heapq.heapify(heap)
 
     elim_pos: dict = {}
@@ -117,17 +122,14 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
             s = _fill_count(adj, x)
             if s != score[x]:
                 score[x] = s
-                heapq.heappush(heap, (s, label_key(x), x))
+                heapq.heappush(heap, (s, rank[x], x))
 
     # bag i hangs off the bag of its neighbour eliminated next; elimination
-    # keeps each component connected, so every component's last bag, and
-    # only that bag, has no neighbour left
+    # keeps the graph connected, so only the last bag has no neighbour left
     parent = [
         min(elim_pos[x] for x in bag if elim_pos[x] > i) if len(bag) > 1 else None
         for i, bag in enumerate(raw_bags)
     ]
-    if parent.count(None) > 1:
-        raise GraphInputError("tree decomposition expects a connected graph")
     bags, edges = _contract_redundant(raw_bags, parent)
     remap = {old: new for new, old in enumerate(sorted(bags))}
     bags = {remap[i]: b for i, b in bags.items()}
@@ -136,6 +138,29 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
     if not validate_td(U, td):
         raise InternalInvariantError("constructed decomposition failed validation")
     return td
+
+
+def _bfs_rank(adj: dict) -> dict:
+    """Each vertex's position in a breadth-first walk of the non-empty
+    graph with neighbour sets ``adj``, from its least ``(degree, label)``
+    vertex, taking unvisited neighbours in ``(degree, label)`` order.
+
+    The label only breaks the ties that degree and walk order leave, so
+    relabelling the input changes the numbering only where such a tie falls
+    between vertices that no automorphism swaps.  Only the start's
+    component is numbered.  O(n + m) on a graph of bounded degree, without
+    recursion.
+    """
+    key = {v: (len(nbrs), label_key(v)) for v, nbrs in adj.items()}
+    start = min(key, key=key.__getitem__)
+    rank = {start: 0}
+    queue = [start]
+    for v in queue:  # the list grows as the walk reaches new vertices
+        fresh = sorted([u for u in adj[v] if u not in rank], key=key.__getitem__)
+        for u in fresh:
+            rank[u] = len(rank)
+        queue += fresh
+    return rank
 
 
 def _fill_count(adj: dict, v) -> int:

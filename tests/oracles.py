@@ -7,6 +7,7 @@ reached the same answer.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from meccount import _kernels
@@ -302,12 +303,15 @@ def td_from_random_order(U, rng):
 
 def tree_decomposition_reference(U):
     """Min-fill re-scored from scratch: every step scores every vertex left
-    by the edges its elimination would add and eliminates the least, ties on
-    the label.  Each bag is a vertex and its neighbours left, hung off the
-    bag of the neighbour eliminated next; then, restarting a sorted scan of
-    the tree edges after every merge, a bag contained in a tree neighbour
-    is merged into it.  Bags are renumbered in order and rooted at 0.  For
-    a connected undirected graph with at least one vertex."""
+    by the edges its elimination would add and eliminates the least, ties by
+    the vertex's position in a breadth-first walk (from the least
+    ``(degree, label)`` vertex, each vertex's unvisited neighbours queued in
+    ``(degree, label)`` order).  Each bag is a vertex and its neighbours
+    left, hung off the bag of the neighbour eliminated next; then,
+    restarting a sorted scan of the tree edges after every merge, a bag
+    contained in a tree neighbour is merged into it.  Bags are renumbered
+    in order and rooted at 0.  For a connected undirected graph with at
+    least one vertex."""
     from meccount.treedecomp import TreeDecomposition
 
     adj = {v: set() for v in U.vertices}
@@ -318,9 +322,21 @@ def tree_decomposition_reference(U):
     def score(v):
         return sum(1 for a, b in itertools.combinations(adj[v], 2) if b not in adj[a])
 
+    def deg_label(v):
+        return len(adj[v]), _lk(v)
+
+    walk = [min(adj, key=deg_label)]
+    queue = collections.deque(walk)
+    while queue:
+        v = queue.popleft()
+        fresh = sorted(set(adj[v]) - set(walk), key=deg_label)
+        walk += fresh
+        queue.extend(fresh)
+    position = {v: k for k, v in enumerate(walk)}
+
     elim_pos, raw_bags, elim_vertex = {}, [], []
     while adj:
-        v = min(adj, key=lambda x: (score(x), _lk(x)))
+        v = min(adj, key=lambda x: (score(x), position[x]))
         nbrs = adj[v]
         raw_bags.append(frozenset({v} | nbrs))
         elim_pos[v] = len(elim_vertex)

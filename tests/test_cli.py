@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import meccount.cli
 import meccount.counting
 from meccount.cli import build_parser, main
 from meccount.treedecomp import tree_decomposition
+
+from conftest import ladder
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -244,6 +247,22 @@ class TestTd:
         assert [c["root"] for c in json.loads(out)["components"]] == folded != [0]
         _, out, _ = run(capsys, "td", str(p))
         assert out.strip().splitlines()[-2:] == [f"root {folded[0]}", "width 1"]
+
+    def test_shuffled_ladder_has_the_ordered_ladders_shape(self, capsys, tmp_path):
+        edges = ladder(9).edges
+        perm = list(range(18))
+        random.Random(7).shuffle(perm)
+        shapes = []
+        for name, pairs in (("ordered", edges), ("shuffled", [(perm[u], perm[v]) for u, v in edges])):
+            p = tmp_path / f"{name}.txt"
+            p.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+            _, out, _ = run(capsys, "td", str(p), "--json")
+            [td] = json.loads(out)["components"]
+            sizes = {i: len(b) for i, b in td["bags"].items()}
+            shapes.append((td["width"], len(td["bags"]), td["root"], td["tree_edges"], sizes))
+        # bags break ties by a breadth-first walk, so the shuffled ladder's
+        # bags sit where the ordered ladder's do
+        assert shapes[0] == shapes[1]
 
 
 def test_readme_cli_lines_parse():

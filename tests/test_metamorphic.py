@@ -9,11 +9,12 @@ from meccount import (
     brute_count_mecs_andersson,
     count_mecs,
     count_rec,
+    counting,
 )
 from meccount.treedecomp import TreeDecomposition, tree_decomposition
 
 import oracles
-from conftest import random_connected_graph
+from conftest import grid, ladder, random_connected_graph
 
 ROUTES = {
     "orientation": brute_count_mecs,
@@ -39,6 +40,42 @@ def test_counts_invariant_under_relabelling():
         H = _relabel(G, dict(zip(G.vertices, shuffled)))
         for name, route in ROUTES.items():
             assert route(H) == route(G), name
+
+
+def test_shuffled_labels_replay_the_ordered_inputs_cuts(monkeypatch):
+    # min-fill and the fold's relabelling break ties by a breadth-first walk,
+    # not by the label, so a shuffled input computes the cuts the ordered
+    # one does and replays the rest: a timer-free pin of the fold memo
+    rows = []
+    real = counting.extensions
+
+    def recorded(cut, candidates, *sides):
+        rows.append(len(candidates))
+        return real(cut, candidates, *sides)
+
+    monkeypatch.setattr(counting, "extensions", recorded)
+
+    def work(G):
+        rows.clear()
+        return count_mecs(G, "fpt"), len(rows), sum(rows)
+
+    path = UndirectedGraph(edges=[(i, i + 1) for i in range(40)])
+    cycle = UndirectedGraph(edges=[(i, (i + 1) % 60) for i in range(60)])
+    cases = [  # graph, computed cuts and candidate rows, shuffles
+        (path, (3, 39), 3),
+        (cycle, (6, 323), 3),
+        (ladder(7), (8, 1075), 3),
+        (ladder(11), (8, 1075), 3),
+        (grid(3, 8), (15, 23692), 1),
+    ]
+    rng = random.Random(94)
+    for G, pin, shuffles in cases:
+        ordered = work(G)
+        assert ordered[1:] == pin
+        for _ in range(shuffles):
+            labels = list(G.vertices)
+            rng.shuffle(labels)
+            assert work(_relabel(G, dict(zip(G.vertices, labels)))) == ordered
 
 
 def test_disjoint_union_counts_the_product():
