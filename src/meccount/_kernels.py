@@ -23,10 +23,12 @@ bitmask rows, set on a push and cleared on a pop.  ``acyclic_masks`` keeps
 only the decided out-rows and tests a new edge ``t -> h`` by walking them
 from ``h``, so a push or a pop costs one bit operation.  ``mark_codes``
 also keeps, per depth ``d``, a row per vertex of what it reaches under the
-first ``d`` marks (``reach[d * n + v]``), filled in one O(n) pass per
-push.  It relies on every partial graph it keeps being a chain graph:
-there, two vertices share an undirected component exactly when each
-reaches the other, so its reach rows also answer the component question.
+first ``d`` marks, packed into one int of ``n + 1``-bit blocks whose top
+bit is a guard that stops carries, so a push updates every row with a few
+integer operations.  It relies on every partial graph it keeps being a
+chain graph: there, two vertices share an undirected component exactly
+when each reaches the other, so its reach rows also answer the component
+question.
 It decides each directed edge's protection at the depth where the last
 edge touching either endpoint is marked (only chordality waits for the
 leaves), so the filter search cuts an unprotected arc there; a caller that
@@ -208,17 +210,22 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     # prot[d + 1] (an unprotected arc cuts the branch with require_protection).
     #
     # Every partial graph the search keeps is a chain graph (no cycle
-    # through a directed edge), and reach[d * n + v] is the set of vertices
-    # v reaches under the first d marks, along directed edges forwards and
-    # undirected edges either way, v included.  In a chain graph a forward
-    # path within an undirected component has no directed edge (it would
-    # close a cycle with the way back), and one between two components has
-    # one; so u and v share a component exactly when each reaches the
-    # other.  Hence x -> y closes a cycle exactly when y reaches x, and
-    # u - v exactly when one of u, v reaches the other but not back.  A
-    # kept mark fills depth d + 1 in one pass: whoever reaches its tail (x,
-    # or u or v) now reaches what its head reaches (y's row, or u's and
-    # v's together); und/out/inb are undone when the search backs up.
+    # through a directed edge), and block v of reach[d] is the set of
+    # vertices v reaches under the first d marks, along directed edges
+    # forwards and undirected edges either way, v included.  In a chain
+    # graph a forward path within an undirected component has no directed
+    # edge (it would close a cycle with the way back), and one between two
+    # components has one; so u and v share a component exactly when each
+    # reaches the other.  Hence x -> y closes a cycle exactly when y
+    # reaches x, and u - v exactly when one of u, v reaches the other but
+    # not back.  A kept mark fills depth d + 1: whoever reaches its tail
+    # (x, or u or v) now reaches what its head reaches (y's row, or u's and
+    # v's together).
+    # reach[d] packs its n rows into one int, row v at bit v * (n + 1),
+    # each block's top bit a guard kept clear: adding all-ones to each
+    # row's meet with the tail carries into the guards of exactly the rows
+    # that meet it, and hit - (hit >> n) widens those guards into their
+    # rows' masks.  und/out/inb are undone when the search backs up.
     m = len(eu)
     far = far_rows(n, skel)
     last = {w: j for j in range(m) for w in (eu[j], ev[j])}
@@ -231,9 +238,13 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
     und = [0] * n
     out = [0] * n
     inb = [0] * n
-    reach = [0] * ((m + 1) * n)
-    for v in range(n):
-        reach[v] = 1 << v
+    blk = n + 1
+    ones = sum(1 << v * blk for v in range(n))  # bit 0 of every block
+    full = (1 << n) - 1
+    fulls = full * ones
+    guards = fulls + ones  # bit n of every block
+    reach = [0] * (m + 1)
+    reach[0] = sum(1 << v * blk + v for v in range(n))
     codes = []
     d = 0
     while True:
@@ -241,12 +252,12 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
             t = trial[d]
             trial[d] = t + 1
             u, v = eu[d], ev[d]
-            row = d * n
             if t == 0:
                 if inb[u] & far[v] or inb[v] & far[u]:
                     continue
-                ru = reach[row + u]
-                rv = reach[row + v]
+                r = reach[d]
+                ru = r >> u * blk & full
+                rv = r >> v * blk & full
                 if ((ru >> v) ^ (rv >> u)) & 1:
                     continue
                 tail = (1 << u) | (1 << v)
@@ -257,7 +268,8 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
                 x, y = (u, v) if t == 1 else (v, u)
                 if und[y] & far[x]:
                     continue
-                head = reach[row + y]
+                r = reach[d]
+                head = r >> y * blk & full
                 if (head >> x) & 1:
                     continue
                 tail = 1 << x
@@ -274,9 +286,8 @@ def mark_codes(n: int, eu, ev, skel, require_protection: bool) -> list[tuple[int
                     elif require_protection:
                         break
             else:
-                reach[row + n : row + 2 * n] = [
-                    r | head if r & tail else r for r in reach[row : row + n]
-                ]
+                hit = ((r & tail * ones) + fulls) & guards
+                reach[d + 1] = r | (hit - (hit >> n)) & head * ones
                 code[d + 1] = c
                 prot[d + 1] = p
                 d += 1

@@ -21,7 +21,6 @@ from .mecrules import (
     _code_of_pdag,
     _code_rows,
     _collider_triples,
-    _pdag_on,
     _protected_pairs,
     is_partial_mec,
 )
@@ -241,19 +240,28 @@ def _derived_table(ctx: DecompositionContext, p1, p2) -> TfpTable:
 # A side check sees only the side's part of it, one integer: the trits at
 # the side's edge positions and the protected bits there.  A side's shadows
 # are the integer keys of its table, whose frame numbers vertices, slots and
-# edge positions its own way; the side maps them onto the a-graph's.
+# edge positions its own way; the side maps them onto the a-graph's.  The
+# checks name an orientation of the a-graph's edge ``j`` by a bit laid out
+# as trits are: bit ``2j`` for the way its pair lists it, ``2j + 1`` back.
 
 
 class _ShadowProfile:
-    """Per-shadow facts reused across many boundary candidates: its directed
-    edges, its undirected edges in both orientations, each as ``(u, v, slot
-    of (u, v), slot of (v, u), index of u, index of v, a-graph position)``,
-    and its path rows by a-graph slot."""
+    """Per-shadow facts reused across many boundary candidates.
 
-    __slots__ = ("directed", "und", "p1", "p2")
+    ``dmask`` and ``dval`` are the trits of the shadow's directed edges at
+    a-graph positions: a signature keeps their directions, condition (1)
+    of :func:`_struct_ok_profiled`, exactly when ``sig & dmask == dval``.
+    ``und`` lists its undirected edges as ``(u, v, bit)``, ``bit`` the
+    orientation ``u -> v`` and ``bit << 1`` its reverse.  ``just`` pairs
+    each undirected orientation that justifies any with the mask of those
+    that activating it justifies, as read from its path rows ``p1`` and
+    ``p2``, which are kept by a-graph slot."""
 
-    def __init__(self, directed, und, p1, p2):
-        self.directed, self.und, self.p1, self.p2 = directed, und, p1, p2
+    __slots__ = ("dmask", "dval", "und", "just", "p1", "p2")
+
+    def __init__(self, dmask, dval, und, just, p1, p2):
+        self.dmask, self.dval, self.und, self.just = dmask, dval, und, just
+        self.p1, self.p2 = p1, p2
 
 
 class _Side:
@@ -262,22 +270,31 @@ class _Side:
     colliders, its table's shadows bucketed by collider set, their profiles
     once a bucket is first checked, and the verdicts per signature."""
 
-    __slots__ = ("labels", "pos", "edges", "pairs", "tmask", "pmask", "shift", "sel", "want",
-                 "keys", "slots", "orient", "smap", "vmap", "buckets", "profiles", "memo")
+    __slots__ = ("labels", "index", "rows", "marks", "pos", "edges", "tmask", "pmask", "shift",
+                 "sel", "want", "keys", "slots", "orient", "smap", "vmap", "buckets", "profiles",
+                 "memo")
 
     def __init__(self, cut: _Cut, side: int, table: ShadowTable):
         labels, pairs, pos = cut.side(side)
         edges = [(labels[i], labels[k]) for i, k in pairs]
         if table._skeleton != (labels, tuple(edges)):
             raise GraphInputError(f"side-{side} table does not live on the bag boundary graph")
-        self.labels, self.pairs, self.pos, self.edges = labels, pairs, pos, edges
+        self.labels, self.pos, self.edges = labels, pos, edges
+        # the side's graph as rows with every edge both ways, which a
+        # signature's directed trits thin out (_sub_pdag_from_signature)
+        m = len(labels)
+        self.index = {lab: k for k, lab in enumerate(labels)}
+        self.rows = _code_rows(m, pairs, 0)
+        self.marks = [(2 * j, i, k) for j, (i, k) in zip(pos, pairs)]
         self.tmask = sum(3 << 2 * j for j in pos)
         self.pmask = sum(1 << j for j in pos)
         self.shift = 2 * len(cut.a_pairs)
         # the table's domain and its edges are the side's, in the same
         # order, and both list a pair's ends in label order, so a trit
         # reads the same in either; the frame's vertices, slots and edge
-        # positions as the a-graph numbers them
+        # positions as the a-graph numbers them.  ``orient`` holds per edge
+        # its trit's shift in keys and in signatures, its ends, and both
+        # orientations as (slot, reverse slot, tail, head, orientation bit)
         n, nf = len(cut.a_labels), len(table.labels)
         self.vmap = dict(zip(table.inside, cut.domains[side - 1]))
         self.smap = {}
@@ -286,16 +303,15 @@ class _Side:
             ai, ak = self.vmap[i], self.vmap[k]
             self.smap[i * nf + k] = ai * n + ak
             self.smap[k * nf + i] = ak * n + ai
-            fwd = (u, v, ai * n + ak, ak * n + ai, ai, ak, j)
-            back = (v, u, ak * n + ai, ai * n + ak, ak, ai, j)
-            self.orient.append((2 * jf, fwd, back))
+            fwd = (ai * n + ak, ak * n + ai, ai, ak, 1 << 2 * j)
+            back = (ak * n + ai, ai * n + ak, ak, ai, 2 << 2 * j)
+            self.orient.append((2 * jf, 2 * j, u, v, fwd, back))
         # triple t is a collider when both its edges point into its middle
         # vertex: trit 1 on an edge whose pair lists the tail first, else 2;
         # read at a-graph positions in signatures, at frame positions in keys
         self.sel, self.want = [], []
         fsel, fwant = [], []
-        m = len(labels)
-        for a, wa, c, wc in zip(*_collider_triples(m, pairs, _code_rows(m, pairs, 0))):
+        for a, wa, c, wc in zip(*_collider_triples(m, pairs, self.rows)):
             for sel, want, ja, jc in (
                 (self.sel, self.want, 2 * pos[a], 2 * pos[c]),
                 (fsel, fwant, 2 * table.edges[a][0], 2 * table.edges[c][0]),
@@ -319,13 +335,6 @@ class _Side:
         prof = self.profiles[i]
         if prof is None:
             code, p1, p2 = self.keys[i]
-            directed, und = [], []
-            for jf, fwd, back in self.orient:
-                trit = code >> jf & 3
-                if trit == 0:
-                    und += (fwd, back)
-                else:
-                    directed.append(fwd[:2] if trit == 1 else back[:2])
             smap, vmap = self.smap, self.vmap
             rows1, rows2 = {}, {}
             for s, r1, r2 in zip(self.slots, p1, p2):
@@ -333,12 +342,38 @@ class _Side:
                     rows1[smap[s]] = _moved(r1, smap)
                 if r2:
                     rows2[smap[s]] = _moved(r2, vmap)
-            prof = self.profiles[i] = _ShadowProfile(directed, und, rows1, rows2)
+            dmask = dval = 0
+            und, orients = [], []
+            for jf, j2, u, v, fwd, back in self.orient:
+                trit = code >> jf & 3
+                if trit:
+                    dmask |= 3 << j2
+                    dval |= trit << j2
+                else:
+                    und.append((u, v, fwd[4]))
+                    orients += (fwd, back)
+            # x -> y justifies u -> v by a path x -> y ... u -> v, or by
+            # paths x -> y ... v and v -> u ... x
+            just = []
+            for sxy, _, ix, _, bxy in orients:
+                r1, r2 = rows1.get(sxy, 0), rows2.get(sxy, 0)
+                mask = 0
+                for suv, svu, _, iv, buv in orients:
+                    if r1 >> suv & 1 or (r2 >> iv & 1 and rows2.get(svu, 0) >> ix & 1):
+                        mask |= buv
+                if mask:
+                    just.append((bxy, mask))
+            prof = self.profiles[i] = _ShadowProfile(dmask, dval, und, just, rows1, rows2)
         return prof
 
 
 def _realized(code: int, sel, want) -> int:
-    return sum(1 << t for t, (s, w) in enumerate(zip(sel, want)) if code & s == w)
+    out, bit = 0, 1
+    for s, w in zip(sel, want):
+        if code & s == w:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 def _moved(row: int, where: dict) -> int:
@@ -358,51 +393,45 @@ def boundary_signature(side: _Side, code: int, prot: int) -> int:
 
 
 def _sub_pdag_from_signature(side: _Side, sig: int) -> Pdag:
-    # the side's trits, moved from a-graph positions to the side's own
-    compact = 0
-    for k, j in enumerate(side.pos):
-        compact |= ((sig >> 2 * j) & 3) << 2 * k
-    return _pdag_on(side.labels, side.pairs, compact)
+    """The side's graph with the marks the signature shows on its edges."""
+    rows = side.rows[:]
+    for s, i, k in side.marks:
+        trit = sig >> s & 3
+        if trit == 1:
+            rows[k] ^= 1 << i
+        elif trit == 2:
+            rows[i] ^= 1 << k
+    return Pdag._from_rows(side.labels, rows, side.index)
 
 
 def _struct_ok_profiled(sub: Pdag, prot: int, prof: _ShadowProfile) -> bool:
-    """Mark conditions between a side shadow and the boundary graph, seen
-    through the side's signature: ``sub``, the side's graph with the
-    signature's marks, and ``prot``, its protected bits by a-graph position.
-    The shadow's collider set is the signature's (the bucket ensures it).
+    """Condition (2) of the mark conditions between a side shadow and the
+    boundary graph, seen through the side's signature: ``sub``, the side's
+    graph with the signature's marks, and ``prot``, its protected edges as
+    both orientation bits at a-graph positions.  The caller decides the
+    rest: the shadow's collider set is the signature's (the bucket ensures
+    it), and (1) the shadow's directed edges keep their direction (its
+    profile's directed-trit mask).
 
-    (1) the shadow's directed edges keep their direction; (2) each edge
-    undirected in the shadow is directed in the boundary exactly when
-    protection or one of the two imported reachability justifications
-    forces it, and never against a direction a justification forces.
+    (2) each edge undirected in the shadow is directed in the boundary
+    exactly when protection or one of the two imported reachability
+    justifications forces it, and never against a direction a
+    justification forces.  With ``on`` the shadow's undirected
+    orientations that ``sub`` directs and ``jset`` those they justify, that
+    is two tests: ``jset`` lies inside ``on``, and what of ``on`` lies
+    outside ``jset`` is protected.
     """
-    for u, v in prof.directed:
-        if not sub.has_directed(u, v):
-            return False
-    # the shadow's undirected edges are edges of ``sub`` too: each is
-    # directed one way in it, or undirected
-    und = prof.und
-    flags = [sub.has_directed(e[0], e[1]) for e in und]
-    activated = [e for e, on in zip(und, flags) if on]
-    p1, p2 = prof.p1, prof.p2
-    for (_, _, suv, svu, _, iv, j), on in zip(und, flags):
-        # x -> y justifies u -> v by a path x -> y ... u -> v, or by paths
-        # x -> y ... v and v -> u ... x
-        justified = False
-        for _, _, sxy, _, ix, _, _ in activated:
-            if p1.get(sxy, 0) >> suv & 1 or (
-                p2.get(sxy, 0) >> iv & 1 and p2.get(svu, 0) >> ix & 1
-            ):
-                justified = True
-                break
-        if on:
-            if not (prot >> j & 1 or justified):
-                return False
-        elif justified:
-            # forced u -> v, but the boundary leaves the edge undirected or
-            # directs it v -> u
-            return False
-    return True
+    on = 0
+    for u, v, bit in prof.und:
+        if sub.has_directed(u, v):
+            on |= bit
+        elif sub.has_directed(v, u):
+            on |= bit << 1
+    jset = 0
+    for bit, justified in prof.just:
+        if on & bit:
+            jset |= justified
+    return not (jset & ~on or on & ~jset & ~prot)
 
 
 def protected_edges(o: Pdag) -> frozenset:
@@ -414,16 +443,24 @@ def _side_checks(side: _Side, sig: int) -> list:
     """Indices of the side's shadows that pass for ``sig``, ascending.
 
     A side check sees only the signature, so candidates sharing one share
-    the verdicts; only shadows with the signature's collider set can pass.
+    the verdicts; only shadows with the signature's collider set and its
+    directions on their directed edges can pass.
     """
     ok = side.memo.get(sig)
     if ok is None:
-        bucket = side.buckets.get(side.colliders(sig))
         ok = []
-        if bucket:
-            sub = _sub_pdag_from_signature(side, sig)
-            prot = sig >> side.shift
-            ok = [i for i in bucket if _struct_ok_profiled(sub, prot, side.profile(i))]
+        sub = None
+        profiles = side.profiles
+        for i in side.buckets.get(side.colliders(sig), ()):
+            prof = profiles[i] or side.profile(i)
+            if sig & prof.dmask != prof.dval:
+                continue
+            if sub is None:
+                sub = _sub_pdag_from_signature(side, sig)
+                # bit j of the protected part, spread to bits 2j and 2j + 1
+                prot = int(format(sig >> side.shift, "b"), 4) * 3
+            if _struct_ok_profiled(sub, prot, prof):
+                ok.append(i)
         side.memo[sig] = ok
     return ok
 

@@ -98,12 +98,14 @@ class Pdag:
         self._rows: tuple[int, ...] = tuple(rows)
 
     @classmethod
-    def _from_rows(cls, labels: tuple[Label, ...], rows) -> "Pdag":
+    def _from_rows(cls, labels: tuple[Label, ...], rows, index=None) -> "Pdag":
         """Trusted constructor: ``labels`` sorted, ``rows`` loop-free bit
-        rows over them (and symmetric for an :class:`UndirectedGraph`)."""
+        rows over them (and symmetric for an :class:`UndirectedGraph`);
+        ``index``, if given, is the label-to-position dict of ``labels``,
+        shared and never mutated."""
         self = object.__new__(cls)
         self._labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = {lab: i for i, lab in enumerate(labels)} if index is None else index
         self._rows = tuple(rows)
         return self
 

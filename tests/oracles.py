@@ -10,7 +10,7 @@ from __future__ import annotations
 import collections
 import itertools
 
-from meccount import _kernels
+from meccount import Pdag, _kernels
 
 
 def edge_views(P):
@@ -541,3 +541,75 @@ def _dreach(und, out, s, t):
                 F |= out[i]
         newB = _uclose(und, B | F)
     return (B >> t) & 1 != 0
+
+
+def side_checks_reference(side, sig) -> list:
+    """``extension._side_checks`` as it was before its per-shadow bit masks:
+    the side's graph under the signature ``sig`` is built edge by edge, and
+    each shadow of the signature's collider bucket is tested by
+    :func:`struct_ok_reference`, its directed and undirected edges read off
+    its key through the side's frame map ``side.orient``."""
+    und, dire = [], []
+    for j, (u, v) in zip(side.pos, side.edges):
+        trit = sig >> 2 * j & 3
+        if trit == 0:
+            und.append((u, v))
+        else:
+            dire.append((u, v) if trit == 1 else (v, u))
+    sub = Pdag(vertices=side.labels, undirected=und, directed=dire)
+    prot = sig >> side.shift
+    ok = []
+    for i in side.buckets.get(side.colliders(sig), ()):
+        code = side.keys[i][0]
+        directed, undirected = [], []
+        for jf2, j2, u, v, (suv, svu, iu, iv, _), _ in side.orient:
+            trit = code >> jf2 & 3
+            if trit == 0:
+                j = j2 // 2
+                undirected += [(u, v, suv, svu, iu, iv, j), (v, u, svu, suv, iv, iu, j)]
+            else:
+                directed.append((u, v) if trit == 1 else (v, u))
+        prof = side.profile(i)
+        if struct_ok_reference(sub, prot, directed, undirected, prof.p1, prof.p2):
+            ok.append(i)
+    return ok
+
+
+def struct_ok_reference(sub, prot, directed, und, p1, p2) -> bool:
+    """The mark conditions between a side shadow and the boundary graph, as
+    a loop over the shadow's undirected orientations and, for each, over
+    the activated ones.  ``sub`` is the side's graph with the signature's
+    marks and ``prot`` its protected bits by a-graph position; the shadow
+    has the ``directed`` edges ``(u, v)`` and the undirected orientations
+    ``und``, each ``(u, v, slot of (u, v), slot of (v, u), index of u, index
+    of v, a-graph position)``, and the path rows ``p1``/``p2`` by a-graph
+    slot.
+
+    (1) the shadow's directed edges keep their direction; (2) each edge
+    undirected in the shadow is directed in the boundary exactly when
+    protection or one of the two imported reachability justifications
+    forces it, and never against a direction a justification forces.
+    """
+    for u, v in directed:
+        if not sub.has_directed(u, v):
+            return False
+    flags = [sub.has_directed(e[0], e[1]) for e in und]
+    activated = [e for e, on in zip(und, flags) if on]
+    for (_, _, suv, svu, _, iv, j), on in zip(und, flags):
+        # x -> y justifies u -> v by a path x -> y ... u -> v, or by paths
+        # x -> y ... v and v -> u ... x
+        justified = False
+        for _, _, sxy, _, ix, _, _ in activated:
+            if p1.get(sxy, 0) >> suv & 1 or (
+                p2.get(sxy, 0) >> iv & 1 and p2.get(svu, 0) >> ix & 1
+            ):
+                justified = True
+                break
+        if on:
+            if not (prot >> j & 1 or justified):
+                return False
+        elif justified:
+            # forced u -> v, but the boundary leaves the edge undirected or
+            # directs it v -> u
+            return False
+    return True

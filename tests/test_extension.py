@@ -10,6 +10,7 @@ from meccount import (
     ShadowTable,
     TfpTable,
     UndirectedGraph,
+    count_mecs,
     dpf,
     enumerate_mecs,
     enumerate_partial_mecs,
@@ -19,12 +20,14 @@ from meccount import (
     shadow_of_mec,
     tfp_table,
 )
+from meccount import counting, extension
 from meccount.extension import (
     DecompositionContext,
     _BoundaryClosure,
     _ShadowProfile,
     _Side,
     _combine,
+    _side_checks,
     _sub_pdag_from_signature,
     boundary_signature,
     candidate_of,
@@ -309,6 +312,66 @@ def _protected_of(side, sig):
     }
 
 
+class TestSideChecksAgainstReference:
+    def test_every_signature_of_every_computed_cut(self, monkeypatch):
+        # both sides of each cut the engine computes, with the real child
+        # tables, for every boundary candidate's signature; this seed's
+        # draws hold shadows whose justifications force an orientation the
+        # signature leaves undirected or reverses
+        rng = random.Random(42)
+        graphs = [ladder(3), ladder(4), grid(3, 3)]
+        graphs += [random_connected_graph(rng, 8, max_degree=3, extra=3) for _ in range(3)]
+        seen = {"cuts": 0, "checked": 0, "passed": 0, "direction": 0, "justification": 0}
+        real = counting.extensions
+
+        def checked(cut, rows, F1, F2):
+            seen["cuts"] += 1
+            for s, F in ((1, F1), (2, F2)):
+                side = _Side(cut, s, F)
+                for code, prot in rows:
+                    sig = boundary_signature(side, code, prot)
+                    ok = _side_checks(side, sig)
+                    assert ok == oracles.side_checks_reference(side, sig)
+                    bucket = side.buckets.get(side.colliders(sig), ())
+                    # the shadows the directed-trit mask lets through
+                    kept = [i for i in bucket if sig & (p := side.profiles[i]).dmask == p.dval]
+                    assert set(ok) <= set(kept)
+                    seen["checked"] += len(bucket)
+                    seen["passed"] += len(ok)
+                    seen["direction"] += len(bucket) - len(kept)
+                    seen["justification"] += len(kept) - len(ok)
+            return real(cut, rows, F1, F2)
+
+        monkeypatch.setattr(counting, "extensions", checked)
+        for G in graphs:
+            assert count_mecs(G, "fpt") == oracles.count_mecs_by_dags(G)
+        assert seen["cuts"] > 20
+        # verdicts of every kind: passes, rejections on a direction, and
+        # rejections by the justification masks alone
+        assert seen["passed"] and seen["direction"] and seen["justification"]
+
+
+class TestSideCheckWork:
+    # a timer-free pin of the side checks' work: before the directed-trit
+    # pre-test the 2x7 ladder made 1,568 condition calls (the 3x3 grid's
+    # figures did not move)
+    CASES = [(ladder(7), 39584, 933, 556), (grid(3, 3), 758, 937, 937)]
+
+    @pytest.mark.parametrize("G, count, checks, subs", CASES, ids=["ladder2x7", "grid3x3"])
+    def test_condition_calls_and_side_graphs(self, G, count, checks, subs, monkeypatch):
+        calls = {"_struct_ok_profiled": 0, "_sub_pdag_from_signature": 0}
+        for name in calls:
+            real = getattr(extension, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(extension, name, counted)
+        assert count_mecs(G, "fpt") == count
+        assert calls == {"_struct_ok_profiled": checks, "_sub_pdag_from_signature": subs}
+
+
 # -- the closure on integer rows ---------------------------------------------
 
 
@@ -351,7 +414,11 @@ def _random_entries(rng, n, slots, dense):
 
 
 def _profile(p1, p2):
-    return _ShadowProfile([], [], {s: r for s, r in enumerate(p1) if r}, {s: r for s, r in enumerate(p2) if r})
+    # only the path rows take part in the closure; no directed or
+    # undirected edges, so no masks
+    rows1 = {s: r for s, r in enumerate(p1) if r}
+    rows2 = {s: r for s, r in enumerate(p2) if r}
+    return _ShadowProfile(0, 0, [], [], rows1, rows2)
 
 
 def _check_import_and_reclose(n, slots, seed1, seed2, extra1, extra2, rng):

@@ -202,6 +202,45 @@ class TestMarkCodesAgainstReference:
             assert got == ref, G.edges
 
 
+def _complete(n):
+    return UndirectedGraph(vertices=range(n), edges=itertools.combinations(range(n), 2))
+
+
+def _star(leaves):
+    return UndirectedGraph(edges=[(0, k) for k in range(1, leaves + 1)])
+
+
+class TestMarkCodesPackedReach:
+    # the reach rows live in one int of (n + 1)-bit blocks: complete graphs
+    # fill every block, so adding all-ones carries into every guard bit;
+    # stars push through one hub; 10 vertices make the packed int wider
+    # than 64 bits.  Each is checked against every trit assignment run
+    # through the predicates
+    GRAPHS = [_complete(n) for n in range(1, 6)] + [_star(3), _star(6), _star(9)]
+    GRAPHS.append(UndirectedGraph(edges=[(i, i + 1) for i in range(9)]))
+
+    @pytest.mark.parametrize("require_protection", [False, True])
+    @pytest.mark.parametrize(
+        "G", GRAPHS, ids=[f"K{n}" for n in range(1, 6)] + ["K1,3", "K1,6", "K1,9", "P10"]
+    )
+    def test_against_every_assignment(self, G, require_protection):
+        pred = is_mec if require_protection else is_partial_mec
+        n, eu, ev, skel, pairs = _encode(G)
+        rows = _kernels.mark_codes(n, eu, ev, skel, require_protection)
+        expected = set()
+        for marks in itertools.product((0, 1, 2), repeat=len(pairs)):
+            code = sum(t << 2 * j for j, t in enumerate(marks))
+            if pred(_pdag_on(G.vertices, pairs, code)):
+                expected.add(code)
+        assert sorted(code for code, _ in rows) == sorted(expected)
+        pos = {}
+        for j, (i, k) in enumerate(pairs):
+            pos[i, k] = pos[k, i] = j
+        for code, prot in rows:
+            P = _pdag_on(G.vertices, pairs, code)
+            assert prot == sum(1 << pos[e] for e in _protected_pairs(P))
+
+
 class TestMarkCodesPruning:
     # filter mode decides each arc's protection at the depth its last
     # incident edge is marked, so few partial classes reach the leaf's
