@@ -20,7 +20,7 @@ import logging
 
 from .errors import GraphInputError, PreconditionError
 from .extension import _check_split, _Cut, _cut_frame, _induced, extensions
-from .graph import Pdag, UndirectedGraph
+from .graph import Pdag, UndirectedGraph, _graph_on
 from .mecrules import brute_count_mecs, mec_codes
 from .shadow import ShadowTable, _partial_mec_codes_on
 from .treedecomp import _bfs_rank, TreeDecomposition, tree_decomposition, validate_td
@@ -45,13 +45,13 @@ def count_rec(G: UndirectedGraph, td: TreeDecomposition, r1: int) -> ShadowTable
         raise PreconditionError(f"{r1} is not the root of the decomposition")
     if not validate_td(G, td):
         raise PreconditionError("decomposition is not valid for this graph")
-    return _count_rec(G.neighbor_sets(), td, G._index.__getitem__)
+    return _count_rec(G.neighbor_sets(), td)
 
 
-def _count_rec(nbrs: dict, td: TreeDecomposition, rank=None) -> ShadowTable:
+def _count_rec(nbrs: dict, td: TreeDecomposition) -> ShadowTable:
     """Fold a valid decomposition of the graph ``G`` with neighbour sets
     ``nbrs`` into the root's table, children before parents, without
-    recursion; ``rank`` orders ``G``'s labels (their natural order if None).
+    recursion.
 
     A bag ``r`` starts from the leaf table of ``G[bag]`` and absorbs its
     children ``c`` in increasing index order: the same splits that cutting
@@ -63,15 +63,17 @@ def _count_rec(nbrs: dict, td: TreeDecomposition, rank=None) -> ShadowTable:
     exactly when its first bag does.  Every cut's split is checked on those
     vertex sets (see :func:`extension._check_split`).
 
-    Paths, cycles and trees repeat the same local structure bag after bag,
-    so the count memoises what depends on structure alone: a leaf table by
-    its bag graph's vertex count and edges, a cut's glue plan by the key
+    Bag graphs and a-graphs are read off the neighbour sets as labels and
+    index pairs, once per cut (see :func:`extension._cut_frame`), the labels
+    ranked by that first position, ties by :func:`_bfs_rank`, so cuts of
+    the same local structure get the same pairs whatever the labels.  Paths,
+    cycles and trees repeat the same local structure bag after bag, so the
+    count memoises what depends on structure alone: a leaf table by its bag
+    graph's vertex count and edges, a cut's glue plan by the key
     :func:`_combine_tables` files it under, and the a-graph's boundary
-    candidates by its vertex count and edges.  Bag graphs and a-graphs are
-    read off the neighbour sets as sorted labels and index pairs, once per
-    cut (see :func:`extension._cut_frame`); a ``Pdag`` is built only where
-    a leaf table or boundary candidates are computed.  The memo is dropped
-    when the count returns.
+    candidates by its vertex count and edges.  Table keys are positional, so
+    a leaf table is computed on the bag graph over ``0..k-1``, the only
+    ``Pdag`` the fold builds.  The memo is dropped when the count returns.
     """
     order = td.preorder
     pos = {i: k for k, i in enumerate(order)}
@@ -79,6 +81,8 @@ def _count_rec(nbrs: dict, td: TreeDecomposition, rank=None) -> ShadowTable:
     for i in order:
         for v in td.bags[i]:
             first.setdefault(v, pos[i])
+    bfs = _bfs_rank(nbrs)
+    rank = {v: k for k, v in enumerate(sorted(first, key=lambda v: (first[v], bfs[v])))}.__getitem__
     end: dict[int, int] = {}  # one past the last preorder position of a subtree
     tables: dict[int, ShadowTable] = {}
     leaves: dict = {}  # leaf entries by the bag graph's index structure
@@ -89,7 +93,7 @@ def _count_rec(nbrs: dict, td: TreeDecomposition, rank=None) -> ShadowTable:
         F = ShadowTable._on_labels(labels, pairs)
         shape = (len(labels), F.pairs)
         if shape not in leaves:
-            leaves[shape] = brute_force_count(F.domain).entries
+            leaves[shape] = brute_force_count(_graph_on(range(len(labels)), pairs)).entries
         F.entries = dict(leaves[shape])
         kids = td.children(r)
         for c in kids:
@@ -199,7 +203,7 @@ def count_components(G: Pdag, method: str = "auto") -> tuple[int, list]:
         else:
             # tree_decomposition validates what it builds
             td = rooted_for_fold(part, tree_decomposition(part))
-            total *= _count_rec(*_in_fold_order(part, td)).total()
+            total *= _count_rec(part.neighbor_sets(), td).total()
             runs.append((route, td))
     return total, runs
 
@@ -290,25 +294,3 @@ def glue_estimates(U: Pdag, td: TreeDecomposition) -> dict[int, int]:
         for c in td.children(p):
             est[c] = est[p] - alone[p] - under[c] + cost(p, c) + alone[c]
     return est
-
-
-def _in_fold_order(U: Pdag, td: TreeDecomposition) -> tuple:
-    """``U``'s neighbour sets and ``td``, a decomposition of the connected
-    graph ``U``, with the vertices relabelled ``0..n-1`` in the preorder
-    position of each one's first bag, ties by :func:`_bfs_rank`.
-
-    The fold reads bag graphs and a-graphs as index pairs over sorted
-    labels, so in these labels cuts with the same local structure get the
-    same pairs whatever the input's labels, and replay one another.
-    """
-    first: dict = {}
-    for k, i in enumerate(td.preorder):
-        for v in td.bags[i]:
-            first.setdefault(v, k)
-    adj = U.neighbor_sets()
-    rank = _bfs_rank(adj)
-    order = sorted(U.vertices, key=lambda v: (first[v], rank[v]))
-    new = {v: k for k, v in enumerate(order)}
-    nbrs = {new[v]: {new[u] for u in vs} for v, vs in adj.items()}
-    bags = {i: frozenset(map(new.__getitem__, b)) for i, b in td.bags.items()}
-    return nbrs, TreeDecomposition(bags=bags, tree_edges=td.tree_edges, root=td.root)

@@ -29,10 +29,11 @@ from .tfp import TfpTable, _close_p1, _close_p2, _closed_rows, _matrices_to_tabl
 
 
 class _Cut:
-    """A cut as the glue reads it: its a-graph's sorted ``a_labels``, its
-    skeleton edges as ascending index pairs ``a_pairs`` (the order of trit
-    codes) and as rows ``a_skel``, and in ``domains`` the ascending
-    positions of each side's boundary graph, ``b1`` and ``b2``."""
+    """A cut as the glue reads it: its a-graph's ranked ``a_labels`` (see
+    :func:`_induced`), its skeleton edges as ascending index pairs
+    ``a_pairs`` (the order of trit codes) and as rows ``a_skel``, and in
+    ``domains`` the ascending positions of each side's boundary graph,
+    ``b1`` and ``b2``."""
 
     def __init__(self, labels: tuple, pairs: tuple, b1, b2):
         self.a_labels, self.a_pairs = labels, pairs
@@ -40,7 +41,7 @@ class _Cut:
         self.domains = tuple(tuple(k for k, v in enumerate(labels) if v in b) for b in (b1, b2))
 
     def side(self, side: int) -> tuple:
-        """The boundary graph of ``side``: its sorted labels, its skeleton
+        """The boundary graph of ``side``: its ranked labels, its skeleton
         edges as ascending index pairs, and where each sits in ``a_pairs``."""
         dom = self.domains[side - 1]
         at = {a: t for t, a in enumerate(dom)}
@@ -62,9 +63,11 @@ def _cut_frame(nbrs: dict, host, s1, s2, rank) -> tuple:
     return x1, x2, *_induced(x1 | x2, nbrs, rank)
 
 
-def _induced(vs, nbrs: dict, rank=None) -> tuple:
-    """``G[vs]`` as its labels sorted by ``rank`` and its skeleton edges as
-    ascending index pairs; ``nbrs`` holds ``G``'s neighbour sets."""
+def _induced(vs, nbrs: dict, rank) -> tuple:
+    """``G[vs]`` as its labels in ascending ``rank``, any key (the fold's
+    decomposition order, :class:`DecompositionContext`'s label order), and
+    its skeleton edges as ascending index pairs over them; ``nbrs`` holds
+    ``G``'s neighbour sets."""
     labels = tuple(sorted(vs, key=rank))
     at = {v: k for k, v in enumerate(labels)}
     pairs = sorted(
@@ -290,7 +293,7 @@ class _Side:
         self.pmask = sum(1 << j for j in pos)
         self.shift = 2 * len(cut.a_pairs)
         # the table's domain and its edges are the side's, in the same
-        # order, and both list a pair's ends in label order, so a trit
+        # order, and both list a pair's ends in rank order, so a trit
         # reads the same in either; the frame's vertices, slots and edge
         # positions as the a-graph numbers them.  ``orient`` holds per edge
         # its trit's shift in keys and in signatures, its ends, and both

@@ -99,10 +99,10 @@ class Pdag:
 
     @classmethod
     def _from_rows(cls, labels: tuple[Label, ...], rows, index=None) -> "Pdag":
-        """Trusted constructor: ``labels`` sorted, ``rows`` loop-free bit
-        rows over them (and symmetric for an :class:`UndirectedGraph`);
-        ``index``, if given, is the label-to-position dict of ``labels``,
-        shared and never mutated."""
+        """Trusted constructor: ``labels`` sorted (any order will do for a
+        graph only queried by label or sliced), ``rows`` loop-free bit rows
+        over them (symmetric for an :class:`UndirectedGraph`); ``index``, if
+        given, is the label-to-position dict of ``labels``, shared, never mutated."""
         self = object.__new__(cls)
         self._labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)} if index is None else index

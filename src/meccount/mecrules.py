@@ -140,16 +140,17 @@ def _no_flag_pattern(P: Pdag) -> bool:
     return True
 
 
+def _is_chordal_chain(P: Pdag) -> bool:
+    """A chain graph whose undirected components are chordal."""
+    return is_chain_graph(P) and all(
+        len(c) <= 2 or P.induced_subgraph(c).skeleton().is_chordal()
+        for c in P.undirected_components()
+    )
+
+
 def is_partial_mec(P: Pdag) -> bool:
     """Chain graph, chordal undirected components, no induced ``x -> y - w``."""
-    if not is_chain_graph(P):
-        return False
-    if not _no_flag_pattern(P):
-        return False
-    for comp in P.undirected_components():
-        if len(comp) > 2 and not P.induced_subgraph(comp).skeleton().is_chordal():
-            return False
-    return True
+    return _is_chordal_chain(P) and _no_flag_pattern(P)
 
 
 def is_mec(P: Pdag) -> bool:
@@ -238,8 +239,8 @@ def _code_rows(n: int, pairs, code: int) -> list[int]:
 
 
 def _pdag_on(labels: tuple, pairs, code: int) -> Pdag:
-    """The graph over the sorted ``labels`` that ``code`` marks on ``pairs``
-    (see :func:`_code_rows`)."""
+    """The graph over ``labels`` that ``code`` marks on ``pairs`` (see
+    :func:`_code_rows` and, for the order of ``labels``, ``Pdag._from_rows``)."""
     return Pdag._from_rows(labels, _code_rows(len(labels), pairs, code))
 
 
@@ -329,11 +330,11 @@ def _cells(P: Pdag) -> str:
     return format(flat, f"0{n * n}b")[::-1]
 
 
-def mec_codes(U: Pdag, *, max_edges: int = DEFAULT_ORIENTATION_CAP) -> list[int]:
+def mec_codes(U: Pdag) -> list[int]:
     """The classes over skeleton ``U`` as trit codes over its skeleton edges
     (see :func:`_pdag_on`), one per class."""
     _require_undirected(U)
-    return _mec_codes(_encode(U), max_edges)
+    return _mec_codes(_encode(U), DEFAULT_ORIENTATION_CAP)
 
 
 def _mec_codes(enc, max_edges: int) -> list[int]:

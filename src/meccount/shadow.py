@@ -14,7 +14,7 @@ from typing import Iterator
 
 from . import _kernels
 from .errors import GraphInputError, PreconditionError
-from .graph import Pdag, UndirectedGraph, _graph_on
+from .graph import Pdag, UndirectedGraph
 from .mecrules import (
     _check_edge_cap,
     _code_of_pdag,
@@ -68,31 +68,33 @@ class ShadowTable:
     never got an entry counts zero.  Inside, a shadow is the integer key
     ``(code, p1, p2)`` over a frame graph holding the domain as an induced
     subgraph (the domain itself in a table made from a graph; the counting
-    engine's glued tables keep the cut's a-graph): ``code`` has the shadow's
-    marks as trits at the frame's skeleton-edge positions ``pairs`` (see
-    ``mecrules._code_rows``), and ``p1[t]``, ``p2[t]`` are the path-table
-    rows of the domain's ordered pair ``slots[t]``, as bits over the frame's
-    ordered-pair slots and vertices (see ``tfp``).  The counting engine
-    files classes under the keys of their codes and rows; shadows are
-    encoded and decoded only where this class takes or hands them out.
+    engine's glued tables keep the cut's a-graph), its vertices in any
+    order (label order in a table made from a graph, the fold's ranking in
+    the engine's): ``code`` has the shadow's marks as trits at the frame's
+    skeleton-edge positions ``pairs`` (see ``mecrules._code_rows``), and
+    ``p1[t]``, ``p2[t]`` are the path-table rows of the domain's ordered
+    pair ``slots[t]``, as bits over the frame's ordered-pair slots and
+    vertices (see ``tfp``).  The counting engine files classes under the
+    keys of their codes and rows; shadows are encoded and decoded only
+    where this class takes or hands them out.
 
-    The frame is held as its sorted ``labels`` and skeleton index ``pairs``,
-    the domain as the frame positions ``inside``; the engine makes its
-    tables from those alone, and the ``frame`` and ``domain`` graphs are
-    built only where something reads them.
+    The frame is held as its ``labels`` and skeleton index ``pairs``, the
+    domain as the frame positions ``inside``; the engine makes its tables
+    from those alone, and builds no graph for them: the ``domain`` graph is
+    built only where something reads it.
     """
 
     def __init__(self, domain: Pdag):
         self._place(domain.vertices, _skeleton_pairs(domain), tuple(range(domain.n)))
-        self.domain = self.frame = domain
+        self.domain = domain
 
     @classmethod
     def _on_labels(cls, labels: tuple, pairs, inside=None) -> "ShadowTable":
-        """An empty table whose frame has the sorted ``labels`` and the
-        skeleton index ``pairs`` (ascending), and whose domain holds the
-        frame's vertices at the ascending positions ``inside`` (all of them
-        unless given).  The two graphs are built only if something reads
-        them."""
+        """An empty table whose frame has the ``labels``, in any order, and
+        the skeleton index ``pairs`` over them (ascending), and whose domain
+        holds the frame's vertices at the ascending positions ``inside``
+        (all of them unless given).  The domain graph is built only if
+        something reads it."""
         self = object.__new__(cls)
         self._place(labels, pairs, tuple(range(len(labels))) if inside is None else inside)
         return self
@@ -112,10 +114,6 @@ class ShadowTable:
             vmask,
         )
         self.entries: dict[tuple, int] = {}
-
-    @cached_property
-    def frame(self) -> Pdag:
-        return _graph_on(self.labels, self.pairs)
 
     @cached_property
     def domain(self) -> Pdag:
@@ -142,8 +140,7 @@ class ShadowTable:
 
     @cached_property
     def _skeleton(self) -> tuple:
-        """The domain's labels and skeleton edges, in the order a graph on
-        the domain lists them."""
+        """The domain's labels and skeleton edges, in frame order."""
         labels = self.labels
         return (
             tuple(labels[f] for f in self.inside),
@@ -151,7 +148,7 @@ class ShadowTable:
         )
 
     def _on_domain(self, s: Shadow) -> bool:
-        return (s.o.vertices, s.o.skeleton_edges()) == self._skeleton
+        return s.o.skeleton() == self.domain.skeleton()
 
     def _key_of(self, s: Shadow) -> tuple:
         labels, n = self.labels, len(self.labels)

@@ -14,10 +14,10 @@ works on arbitrary graphs and is what the tables are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GraphInputError, PreconditionError
 from .graph import Edge, Label, Pdag, _bits
+from .mecrules import _is_chordal_chain
 
 
 @dataclass(frozen=True)
@@ -137,18 +137,6 @@ def _matrices_to_table(labels, slots, p1, p2) -> TfpTable:
     return TfpTable(p1=pairs, p2=hits)
 
 
-@lru_cache(maxsize=4096)
-def _in_closure_class(P: Pdag) -> bool:
-    from .mecrules import is_chain_graph
-
-    if not is_chain_graph(P):
-        return False
-    return all(
-        len(c) <= 2 or P.induced_subgraph(c).skeleton().is_chordal()
-        for c in P.undirected_components()
-    )
-
-
 def tfp_table(P: Pdag) -> TfpTable:
     """All triangle-free-path reachability facts of ``P``.
 
@@ -156,7 +144,7 @@ def tfp_table(P: Pdag) -> TfpTable:
     relations transitively.  Requires the closure to be exact: ``P`` must be
     a chain graph whose undirected components are chordal.
     """
-    if not _in_closure_class(P):
+    if not _is_chordal_chain(P):
         raise PreconditionError(
             "reachability closure requires a chain graph with chordal "
             "undirected components"
@@ -192,7 +180,7 @@ def tfp_exists(P: Pdag, from_edge: Edge, to) -> bool:
         to_vertex = to
     if to_edge == from_edge or (to_vertex is not None and to_vertex == v):
         return True
-    if _in_closure_class(P):
+    if _is_chordal_chain(P):
         return _state_search(P, from_edge, to_edge, to_vertex)
     return _simple_path_search(P, from_edge, to_edge, to_vertex)
 

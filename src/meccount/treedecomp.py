@@ -84,7 +84,9 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
     ties broken by the vertex's place in :func:`_bfs_rank`'s walk rather than
     by its label, so that relabelling the input seldom moves the bags.
     Bags contained in a tree-neighbor bag are contracted away.  No width
-    guarantee.
+    guarantee.  The graph must be connected: the last bag of each
+    component hangs off no other, and more than one such bag raises
+    :class:`GraphInputError`.
 
     Scores sit in a heap with lazy deletion (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
@@ -99,8 +101,6 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
 
     adj = U.neighbor_sets()
     rank = _bfs_rank(adj)
-    if len(rank) < U.n:
-        raise GraphInputError("tree decomposition expects a connected graph")
     score = {v: _fill_count(adj, v) for v in adj}
     heap = [(s, rank[v], v) for v, s in score.items()]
     heapq.heapify(heap)
@@ -125,11 +125,14 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
                 heapq.heappush(heap, (s, rank[x], x))
 
     # bag i hangs off the bag of its neighbour eliminated next; elimination
-    # keeps the graph connected, so only the last bag has no neighbour left
+    # keeps each component connected, so one bag per component has no
+    # neighbour left
     parent = [
         min(elim_pos[x] for x in bag if elim_pos[x] > i) if len(bag) > 1 else None
         for i, bag in enumerate(raw_bags)
     ]
+    if parent.count(None) > 1:
+        raise GraphInputError("tree decomposition expects a connected graph")
     bags, edges = _contract_redundant(raw_bags, parent)
     remap = {old: new for new, old in enumerate(sorted(bags))}
     bags = {remap[i]: b for i, b in bags.items()}
@@ -141,25 +144,27 @@ def tree_decomposition(U: Pdag) -> TreeDecomposition:
 
 
 def _bfs_rank(adj: dict) -> dict:
-    """Each vertex's position in a breadth-first walk of the non-empty
-    graph with neighbour sets ``adj``, from its least ``(degree, label)``
-    vertex, taking unvisited neighbours in ``(degree, label)`` order.
+    """Each vertex's position in a breadth-first walk of the graph with
+    neighbour sets ``adj``, taking unvisited neighbours in ``(degree,
+    label)`` order.  The walk numbers one component after another, each
+    from its least unvisited ``(degree, label)`` vertex.
 
     The label only breaks the ties that degree and walk order leave, so
     relabelling the input changes the numbering only where such a tie falls
-    between vertices that no automorphism swaps.  Only the start's
-    component is numbered.  O(n + m) on a graph of bounded degree, without
-    recursion.
+    between vertices that no automorphism swaps.  O(n + m) on a connected
+    graph of bounded degree, without recursion.
     """
     key = {v: (len(nbrs), label_key(v)) for v, nbrs in adj.items()}
-    start = min(key, key=key.__getitem__)
-    rank = {start: 0}
-    queue = [start]
-    for v in queue:  # the list grows as the walk reaches new vertices
-        fresh = sorted([u for u in adj[v] if u not in rank], key=key.__getitem__)
-        for u in fresh:
-            rank[u] = len(rank)
-        queue += fresh
+    rank: dict = {}
+    while len(rank) < len(key):
+        start = min((v for v in key if v not in rank), key=key.__getitem__)
+        rank[start] = len(rank)
+        queue = [start]
+        for v in queue:  # the list grows as the walk reaches new vertices
+            fresh = sorted([u for u in adj[v] if u not in rank], key=key.__getitem__)
+            for u in fresh:
+                rank[u] = len(rank)
+            queue += fresh
     return rank
 
 

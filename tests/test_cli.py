@@ -237,9 +237,9 @@ class TestTd:
         folded = []
         real = meccount.counting._count_rec
 
-        def recorded(nbrs, td, rank=None):
+        def recorded(nbrs, td):
             folded.append(td.root)
-            return real(nbrs, td, rank)
+            return real(nbrs, td)
 
         monkeypatch.setattr(meccount.counting, "_count_rec", recorded)
         assert run(capsys, "count", str(p), "--method", "fpt")[0] == 0

@@ -154,6 +154,52 @@ class TestCountRec:
                     s = shadow_of_mec(M, boundary)
                     buckets[s] = buckets.get(s, 0) + 1
                 assert dict(F.items()) == buckets
+                assert all(F.count(s) == k for s, k in buckets.items())
+
+    def test_disconnected_graph_with_a_valid_decomposition(self):
+        # a valid decomposition may join components through an empty
+        # separator; the fold numbers every component
+        matching = UndirectedGraph(edges=[("a", "b"), ("c", "d")])
+        td = TreeDecomposition(
+            bags={0: frozenset("ab"), 1: frozenset("cd")}, tree_edges=frozenset({(0, 1)}), root=0
+        )
+        assert count_rec(matching, td, 0).total() == brute_count_mecs(matching) == 1
+        rng = random.Random(65)
+        for _ in range(6):
+            g1 = random_connected_graph(rng, rng.randint(3, 5))
+            g2 = random_connected_graph(rng, rng.randint(3, 5))
+            G = UndirectedGraph(
+                [f"x{v}" for v in g1.vertices] + [f"y{v}" for v in g2.vertices],
+                [(f"x{u}", f"x{v}") for u, v in g1.edges]
+                + [(f"y{u}", f"y{v}") for u, v in g2.edges],
+            )
+            t1, t2 = tree_decomposition(g1), tree_decomposition(g2)
+            k = len(t1.bags)
+            bags = {i: frozenset(f"x{v}" for v in b) for i, b in t1.bags.items()}
+            bags.update({k + i: frozenset(f"y{v}" for v in b) for i, b in t2.bags.items()})
+            edges = set(t1.tree_edges) | {(k + i, k + j) for i, j in t2.tree_edges} | {(0, k)}
+            td = TreeDecomposition(bags=bags, tree_edges=frozenset(edges), root=0)
+            assert count_rec(G, td, 0).total() == brute_count_mecs(G)
+
+    def test_count_rec_folds_as_count_mecs_does(self, monkeypatch):
+        # one fold for both: on a shuffled tree they build the same a-graphs,
+        # cut for cut, as vertex counts and index pairs
+        built = []
+        real = counting._combine_tables
+
+        def recorded(F, *args):
+            built.append((len(F.labels), F.pairs))
+            return real(F, *args)
+
+        monkeypatch.setattr(counting, "_combine_tables", recorded)
+        rng = random.Random(66)
+        edges = workloads.random_tree_edges(30, 3, rng)
+        G = _shuffled(30, edges, rng)
+        total, [(_, td)] = counting.count_components(G, "fpt")
+        by_count_mecs = built[:]
+        built.clear()
+        assert count_rec(G, td, td.root).total() == total == workloads.tree_count(edges, 30)
+        assert len(built) == len(td.bags) - 1 and built == by_count_mecs
 
     def test_table_mass_at_every_recursion_level(self):
         from meccount.treedecomp import cut_last_child
@@ -445,12 +491,12 @@ class TestClosedFormsAtScale:
 
     def test_count_never_builds_a_frame_graph(self, monkeypatch):
         # the fold hands the kernel the glued table's labels and pairs, so
-        # no cut builds the a-graph as a Pdag
+        # no table of a count builds its domain as a Pdag
         def unread(self):
-            raise AssertionError("the fold read ShadowTable.frame")
+            raise AssertionError("the fold read ShadowTable.domain")
 
         # a table made from a graph (a leaf's) still sets it
-        monkeypatch.setattr(ShadowTable, "frame", property(unread, lambda self, graph: None))
+        monkeypatch.setattr(ShadowTable, "domain", property(unread, lambda self, graph: None))
         rng = random.Random(80)
         assert count_mecs(_rotated(100, workloads.path_edges(100), rng)) == workloads.fibonacci(100)
         perm = list(range(12))
@@ -476,7 +522,7 @@ def _glue_by_root(G, td, monkeypatch):
         for root in td.indices:
             built.clear()
             rooted = TreeDecomposition(bags=td.bags, tree_edges=td.tree_edges, root=root)
-            counting._count_rec(*counting._in_fold_order(G, rooted))
+            counting._count_rec(G.neighbor_sets(), rooted)
             glue[root] = sum(built)
     return glue
 

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,3 +345,11 @@ def test_counting_routes_do_not_import_numpy(tmp_path):
     cycle8 = meccount.UndirectedGraph(edges=[(i, (i + 1) % 8) for i in range(8)])
     count = meccount.count_mecs(cycle8)
     assert out.stdout.splitlines() == [str(count), f"count {count}", "1/1 ok"]
+
+
+def test_package_keeps_no_process_global_state():
+    """No module of the package caches results across calls or moves the
+    recursion limit, so a count leaves the interpreter as it found it."""
+    pattern = re.compile(r"lru_cache|functools\.cache\b|setrecursionlimit")
+    for path in sorted(Path(meccount.__file__).resolve().parent.glob("*.py")):
+        assert not pattern.findall(path.read_text()), path.name
